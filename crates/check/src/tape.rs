@@ -225,6 +225,25 @@ fn shape_rule(op: &str, out: Shape, ps: &[Shape]) -> Result<(), String> {
             }
             Ok(())
         }
+        // Weighted edge aggregation: `(n_in, d)` rows times an `(E, 1)`
+        // weight column, summed into `(num_out, d)`. Both row counts are
+        // data-dependent; the weight column and the width are not.
+        "edge_aggregate" => {
+            arity(2)?;
+            if ps[1].1 != 1 {
+                return Err(format!(
+                    "edge weights must be an Ex1 column, got {}x{}",
+                    ps[1].0, ps[1].1
+                ));
+            }
+            if out.1 != ps[0].1 {
+                return Err(format!(
+                    "column count must survive: input {}x{}, output {}x{}",
+                    ps[0].0, ps[0].1, out.0, out.1
+                ));
+            }
+            Ok(())
+        }
         // Scalar-valued reductions and losses.
         "sum" | "nll_loss_rows" | "multilabel_bce_rows" => {
             arity(1)?;

@@ -132,3 +132,40 @@ fn backward_hook_panics_on_corruption_only_when_enabled() {
         .unwrap_or_default();
     assert!(msg.contains("matmul"), "panic should name the op: {msg}");
 }
+
+#[test]
+fn edge_aggregate_shape_rule_reports_a_wrong_width_or_weight_column() {
+    // Three source rows aggregated over four edges into two destinations.
+    let build = || {
+        let x = Tensor::new(Matrix::ones(3, 4), true);
+        let w = Tensor::new(Matrix::ones(4, 1), true);
+        let agg = x.edge_aggregate(&[0, 1, 2, 2], &[1, 1, 0, 1], &w, 2);
+        let loss = agg.sum();
+        (loss, agg, w)
+    };
+    let (loss, agg, _) = build();
+    assert_eq!(agg.op_name(), "edge_aggregate");
+    let report = tape::verify_loss(&loss);
+    assert!(report.is_clean(), "clean aggregation rejected:\n{}", report.render());
+
+    // The output lost a column: the width must survive the aggregation.
+    agg.update_value(|m| *m = Matrix::ones(2, 3));
+    let report = tape::verify_loss(&loss);
+    let hit = report
+        .diagnostics
+        .iter()
+        .find(|d| d.rule == "shape-mismatch" && d.message.contains("`edge_aggregate`"))
+        .unwrap_or_else(|| panic!("wrong output width not reported:\n{}", report.render()));
+    assert!(hit.message.contains("column count must survive"), "{}", hit.message);
+
+    // The weights are no longer one column.
+    let (loss, _, w) = build();
+    w.update_value(|m| *m = Matrix::ones(4, 2));
+    let report = tape::verify_loss(&loss);
+    let hit = report
+        .diagnostics
+        .iter()
+        .find(|d| d.message.contains("`edge_aggregate`"))
+        .unwrap_or_else(|| panic!("two-column weights not reported:\n{}", report.render()));
+    assert!(hit.message.contains("Ex1 column"), "{}", hit.message);
+}

@@ -10,6 +10,22 @@
 //! α     = (1-β) α̂ + β α_prev                                   (edge residual)
 //! out_j = Σ_i α_ij z_i  (+ residual W_r x_j)
 //! ```
+//!
+//! Cost scales with nodes, not edges: no tensor the layer builds has
+//! `E × d` entries. Each logit term depends on one endpoint or on the edge
+//! type only, so it is computed once per node (`z a_src`, `z a_dst`: `N×1`)
+//! or per edge type (`R a_e` over the embedding table `R`: `T×1`) and
+//! gathered to the edges; the `E×1` logits and attentions are the only
+//! per-edge tensors. The messages `α_ij z_i` are summed by
+//! [`Tensor::edge_aggregate`] without being materialized.
+//!
+//! The forward pass is bitwise equal to the per-edge formulation (gather
+//! `z` to `E×d` edge rows, one matrix–vector product per term, then
+//! `mul_col_vec` and `scatter_add_rows`): the matmul kernels accumulate
+//! every output element in ascending `p` whatever the row count, so a
+//! gathered node score is the same dot product as the per-edge one, and
+//! `edge_aggregate` runs the composed chain's scalar operations in its
+//! order. Gradients differ only in f32 summation order.
 
 use autoac_tensor::{Act, Tensor};
 use rand::rngs::StdRng;
@@ -117,14 +133,14 @@ impl GatLayer {
         let n = idx.num_nodes;
         let mut outputs = Vec::with_capacity(self.heads.len());
         let mut attentions = Vec::with_capacity(self.heads.len());
-        let edge_feat = self.etype_emb.as_ref().map(|emb| emb.forward(&idx.etype));
         for (h, head) in self.heads.iter().enumerate() {
             let z = head.w.forward(&x);
-            let zs = z.gather_rows(&idx.src);
-            let zd = z.gather_rows(&idx.dst);
-            let mut score = zs.matmul(&head.a_src).add(&zd.matmul(&head.a_dst));
-            if let (Some(ef), Some(ae)) = (&edge_feat, &head.a_edge) {
-                score = score.add(&ef.matmul(ae));
+            let mut score = z
+                .matmul(&head.a_src)
+                .gather_rows(&idx.src)
+                .add(&z.matmul(&head.a_dst).gather_rows(&idx.dst));
+            if let (Some(emb), Some(ae)) = (&self.etype_emb, &head.a_edge) {
+                score = score.add(&emb.table.matmul(ae).gather_rows(&idx.etype));
             }
             let mut att = score.leaky_relu(self.cfg.slope).group_softmax(&idx.dst, n);
             if self.cfg.beta > 0.0 {
@@ -134,8 +150,7 @@ impl GatLayer {
                         .add(&prev[h].scale(self.cfg.beta));
                 }
             }
-            let msg = zs.mul_col_vec(&att);
-            outputs.push(msg.scatter_add_rows(&idx.dst, n));
+            outputs.push(z.edge_aggregate(&idx.src, &idx.dst, &att, n));
             attentions.push(att);
         }
         let mut out = if self.cfg.concat {
@@ -236,9 +251,182 @@ pub fn l2_normalize_rows(x: &Tensor) -> Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use autoac_tensor::Matrix;
+    use autoac_tensor::{init, Matrix};
     use autoac_graph::HeteroGraph;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The per-edge formulation `GatLayer::forward` replaced, kept as its
+    /// bitwise reference: `z` gathered into `E×d` edge rows, one
+    /// matrix–vector product per logit term over them, the edge-type
+    /// embedding gathered per edge, and the `E×d` messages materialized
+    /// before the scatter.
+    fn per_edge_forward(
+        layer: &GatLayer,
+        x: &Tensor,
+        idx: &EdgeIndex,
+        prev_att: Option<&[Tensor]>,
+        training: bool,
+        rng: &mut StdRng,
+    ) -> (Tensor, Vec<Tensor>) {
+        let cfg = layer.cfg;
+        let x = x.dropout(cfg.dropout, training, rng);
+        let n = idx.num_nodes;
+        let mut outputs = Vec::new();
+        let mut attentions = Vec::new();
+        let edge_feat = layer.etype_emb.as_ref().map(|emb| emb.forward(&idx.etype));
+        for (h, head) in layer.heads.iter().enumerate() {
+            let z = head.w.forward(&x);
+            let zs = z.gather_rows(&idx.src);
+            let zd = z.gather_rows(&idx.dst);
+            let mut score = zs.matmul(&head.a_src).add(&zd.matmul(&head.a_dst));
+            if let (Some(ef), Some(ae)) = (&edge_feat, &head.a_edge) {
+                score = score.add(&ef.matmul(ae));
+            }
+            let mut att = score.leaky_relu(cfg.slope).group_softmax(&idx.dst, n);
+            if cfg.beta > 0.0 {
+                if let Some(prev) = prev_att {
+                    att = att.scale(1.0 - cfg.beta).add(&prev[h].scale(cfg.beta));
+                }
+            }
+            outputs.push(zs.mul_col_vec(&att).scatter_add_rows(&idx.dst, n));
+            attentions.push(att);
+        }
+        let mut out = if cfg.concat {
+            let refs: Vec<&Tensor> = outputs.iter().collect();
+            Tensor::concat_cols(&refs)
+        } else {
+            let mut acc = outputs[0].clone();
+            for o in &outputs[1..] {
+                acc = acc.add(o);
+            }
+            acc.scale(1.0 / outputs.len() as f32)
+        };
+        if let Some(w_res) = &layer.w_res {
+            out = out.add(&w_res.forward(&x));
+        }
+        (out, attentions)
+    }
+
+    /// A random three-type graph: 25 nodes, 45 stored edges with repeats,
+    /// so 115 directed edges with self-loops and uneven in-degrees.
+    fn random_graph(seed: u64) -> HeteroGraph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = HeteroGraph::builder();
+        let p = b.add_node_type("p", 12);
+        let a = b.add_node_type("a", 8);
+        let t = b.add_node_type("t", 5);
+        let pa = b.add_edge_type("p-a", p, a);
+        let pt = b.add_edge_type("p-t", p, t);
+        for _ in 0..30 {
+            b.add_edge(pa, rng.gen_range(0..12), rng.gen_range(12..20));
+        }
+        b.add_edge(pa, 0, 12); // a repeated edge, whatever the draws
+        b.add_edge(pa, 0, 12);
+        for _ in 0..13 {
+            b.add_edge(pt, rng.gen_range(0..12), rng.gen_range(20..25));
+        }
+        b.build()
+    }
+
+    fn assert_bitwise_eq(a: &Matrix, b: &Matrix, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}: {x} vs {y}");
+        }
+    }
+
+    /// Runs `GatLayer::forward` and the per-edge reference on the same
+    /// parameters, input and dropout stream, and asserts that outputs and
+    /// attentions are bitwise equal and that every gradient (parameters,
+    /// input, previous attention) is within 1e-5 of its tensor's largest
+    /// absolute gradient — the fused path sums the same terms in a
+    /// different order.
+    fn assert_matches_per_edge(cfg: GatConfig, idx: &EdgeIndex, with_prev: bool, training: bool) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let layer = GatLayer::new(cfg, idx.num_etypes, &mut rng);
+        let (n, e) = (idx.num_nodes, idx.len());
+        let x = Tensor::param(init::random_normal(n, cfg.in_dim, 1.0, &mut rng));
+        let prev: Vec<Tensor> = (0..cfg.heads)
+            .map(|_| Tensor::param(init::random_uniform(e, 1, 0.0, 1.0, &mut rng)))
+            .collect();
+        let out_probe = Tensor::constant(init::random_normal(n, layer.out_total(), 1.0, &mut rng));
+        let att_probe = Tensor::constant(init::random_normal(e, 1, 1.0, &mut rng));
+        let mut leaves = layer.params();
+        leaves.push(x.clone());
+        leaves.extend(prev.iter().cloned());
+
+        let run = |fused: bool| {
+            let mut drop_rng = StdRng::seed_from_u64(5);
+            let prev_att = with_prev.then_some(&prev[..]);
+            let (out, att) = if fused {
+                layer.forward(&x, idx, prev_att, training, &mut drop_rng)
+            } else {
+                per_edge_forward(&layer, &x, idx, prev_att, training, &mut drop_rng)
+            };
+            let mut loss = out.mul(&out_probe).sum();
+            for a in &att {
+                loss = loss.add(&a.mul(&att_probe).sum());
+            }
+            loss.backward();
+            let grads: Vec<Option<Matrix>> = leaves.iter().map(Tensor::grad).collect();
+            for l in &leaves {
+                l.zero_grad();
+            }
+            (out.to_matrix(), att.iter().map(Tensor::to_matrix).collect::<Vec<_>>(), grads)
+        };
+        let (out_new, att_new, g_new) = run(true);
+        let (out_ref, att_ref, g_ref) = run(false);
+
+        assert_bitwise_eq(&out_new, &out_ref, "output");
+        assert_eq!(att_new.len(), att_ref.len());
+        for (h, (a, b)) in att_new.iter().zip(&att_ref).enumerate() {
+            assert_bitwise_eq(a, b, &format!("attention of head {h}"));
+        }
+        for (i, (a, b)) in g_new.iter().zip(&g_ref).enumerate() {
+            let (Some(a), Some(b)) = (a, b) else {
+                assert_eq!(a.is_some(), b.is_some(), "leaf {i}: gradient presence differs");
+                continue;
+            };
+            assert_eq!(a.shape(), b.shape(), "leaf {i}: gradient shape");
+            let scale = b.data().iter().fold(0.0f32, |m, v| m.max(v.abs()));
+            for (j, (u, v)) in a.data().iter().zip(b.data()).enumerate() {
+                assert!(
+                    (u - v).abs() <= 1e-5 * scale,
+                    "leaf {i} element {j}: {u} vs reference {v} (largest |grad| {scale})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plain_gat_matches_the_per_edge_reference() {
+        let idx = EdgeIndex::homogeneous(&random_graph(21));
+        let cfg = GatConfig { in_dim: 7, out_dim: 6, heads: 2, dropout: 0.0, ..Default::default() };
+        assert_matches_per_edge(cfg, &idx, false, false);
+    }
+
+    #[test]
+    fn simple_hgn_matches_the_per_edge_reference() {
+        let idx = EdgeIndex::typed(&random_graph(22));
+        // A hidden layer: concatenated heads, dropout drawn in training.
+        let hidden = GatConfig {
+            in_dim: 7,
+            out_dim: 6,
+            heads: 2,
+            dropout: 0.5,
+            edge_dim: 5,
+            beta: 0.05,
+            residual: true,
+            concat: true,
+            ..Default::default()
+        };
+        assert_matches_per_edge(hidden, &idx, false, true);
+        assert_matches_per_edge(hidden, &idx, true, true);
+        // An output layer: averaged heads, β residual over `prev_att`.
+        let output = GatConfig { heads: 3, concat: false, beta: 0.3, ..hidden };
+        assert_matches_per_edge(output, &idx, true, false);
+        assert_matches_per_edge(output, &idx, true, true);
+    }
 
     fn toy_index() -> EdgeIndex {
         let mut b = HeteroGraph::builder();

@@ -66,7 +66,7 @@ impl Gnn for HetSannLite {
             let a_d = layer.a_dst.forward(&self.idx.etype);
             let score = zs.rowwise_dot(&a_s).add(&zd.rowwise_dot(&a_d));
             let att = score.leaky_relu(self.slope).group_softmax(&self.idx.dst, n);
-            let agg = zs.mul_col_vec(&att).scatter_add_rows(&self.idx.dst, n);
+            let agg = z.edge_aggregate(&self.idx.src, &self.idx.dst, &att, n);
             h = agg.elu();
             hidden = h.clone();
         }

@@ -94,8 +94,7 @@ impl Gnn for HgtLite {
             let prior = layer.mu.gather_rows(&self.idx.etype);
             let score = q_dst.rowwise_dot(&k_src).scale(self.scale).add(&prior);
             let att = score.group_softmax(&self.idx.dst, n);
-            let msg = v.gather_rows(&self.idx.src).mul_col_vec(&att);
-            let agg = msg.scatter_add_rows(&self.idx.dst, n);
+            let agg = v.edge_aggregate(&self.idx.src, &self.idx.dst, &att, n);
             let mut out = layer.w_out.forward(&agg.relu());
             if out.shape() == h.shape() {
                 out = out.add(&h); // residual

@@ -191,8 +191,8 @@ mod tests {
         let x = Tensor::param(Matrix::ones(2, 2));
         let w = Tensor::param(Matrix::ones(2, 2));
         let b = Tensor::param(Matrix::ones(1, 2));
-        let before = x.id().max(w.id()).max(b.id());
         let out = x.linear(&w, Some(&b), Act::Relu);
-        assert_eq!(out.id(), before + 1, "exactly one node allocated");
+        let parents: Vec<u64> = out.parents().iter().map(Tensor::id).collect();
+        assert_eq!(parents, [x.id(), w.id(), b.id()], "parents are exactly the inputs");
     }
 }

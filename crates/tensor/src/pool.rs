@@ -95,7 +95,41 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 static BYTES_RECYCLED: AtomicU64 = AtomicU64::new(0);
 
-/// Snapshot of the pool's global counters.
+thread_local! {
+    /// This thread's events since it started (see [`thread_stats`]).
+    static THREAD_STATS: Cell<PoolStats> =
+        const { Cell::new(PoolStats { hits: 0, misses: 0, bytes_recycled: 0 }) };
+}
+
+/// A pool event, counted by [`count`].
+enum Event {
+    Hit,
+    Miss,
+    Recycled(u64),
+}
+
+/// Counts one event in the global counters and in this thread's.
+fn count(event: Event) {
+    let mut s = THREAD_STATS.with(Cell::get);
+    match event {
+        Event::Hit => {
+            HITS.fetch_add(1, Ordering::Relaxed);
+            s.hits += 1;
+        }
+        Event::Miss => {
+            MISSES.fetch_add(1, Ordering::Relaxed);
+            s.misses += 1;
+        }
+        Event::Recycled(bytes) => {
+            BYTES_RECYCLED.fetch_add(bytes, Ordering::Relaxed);
+            s.bytes_recycled += bytes;
+        }
+    }
+    THREAD_STATS.with(|t| t.set(s));
+}
+
+/// Pool event counts: process-wide ([`stats_snapshot`]) or one thread's
+/// ([`thread_stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Allocations served from a free list.
@@ -142,6 +176,13 @@ pub fn stats_reset() -> PoolStats {
         misses: MISSES.swap(0, Ordering::Relaxed),
         bytes_recycled: BYTES_RECYCLED.swap(0, Ordering::Relaxed),
     }
+}
+
+/// This thread's events since it started: never reset, and never moved by
+/// allocations on other threads, so a before/after difference is exact
+/// while other threads use the pool.
+pub fn thread_stats() -> PoolStats {
+    THREAD_STATS.with(Cell::get)
 }
 
 /// Reads the global counters. Alias for [`stats_snapshot`], kept for
@@ -252,7 +293,7 @@ fn push_free(buf: Vec<f32>) -> bool {
         }
     });
     if kept {
-        BYTES_RECYCLED.fetch_add(bytes, Ordering::Relaxed);
+        count(Event::Recycled(bytes));
     }
     kept
 }
@@ -539,7 +580,7 @@ impl PoolVec {
         }
         let bucket = bucket_for(len);
         if let Some(mut v) = pop_free(bucket) {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            count(Event::Hit);
             if chk::enabled() {
                 san_on_reuse(&v); // canaries are at the full-bucket ends
             }
@@ -548,7 +589,7 @@ impl PoolVec {
             unsafe { v.set_len(len) };
             return Self { vec: v, recyclable: true };
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        count(Event::Miss);
         let mut v = vec![0.0f32; bucket]; // initialize the whole bucket once
         v.truncate(len);
         let recyclable = bucket_index(bucket).is_some();
@@ -589,7 +630,7 @@ impl PoolVec {
         }
         let bucket = bucket_for(len);
         if let Some(mut v) = pop_free(bucket) {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            count(Event::Hit);
             if chk::enabled() {
                 san_on_reuse(&v);
             }
@@ -598,7 +639,7 @@ impl PoolVec {
             unsafe { v.set_len(len) };
             return (Self { vec: v, recyclable: true }, false);
         }
-        MISSES.fetch_add(1, Ordering::Relaxed);
+        count(Event::Miss);
         let mut v = vec![0.0f32; bucket];
         v.truncate(len);
         let recyclable = bucket_index(bucket).is_some();
@@ -767,11 +808,12 @@ mod tests {
     fn disabled_pool_never_recycles() {
         with_pool(false, || {
             trim();
-            let before = stats();
+            // This thread's counters: sibling tests allocate concurrently.
+            let before = thread_stats();
             let a = PoolVec::zeroed(100);
             drop(a);
             let _b = PoolVec::zeroed(100);
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(before, after, "disabled pool must not touch counters");
         });
     }
@@ -780,11 +822,11 @@ mod tests {
     fn stats_count_hits_and_misses() {
         with_pool(true, || {
             trim();
-            let before = stats();
+            let before = thread_stats();
             let a = PoolVec::scratch(256);
             drop(a);
             let b = PoolVec::scratch(256);
-            let after = stats();
+            let after = thread_stats();
             assert_eq!(after.misses - before.misses, 1);
             assert_eq!(after.hits - before.hits, 1);
             assert!(after.bytes_recycled > before.bytes_recycled);

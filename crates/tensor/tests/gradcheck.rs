@@ -221,6 +221,17 @@ fn grad_scatter_add_rows() {
 }
 
 #[test]
+fn grad_edge_aggregate() {
+    // Duplicate edges (0→1 twice), an unread source row (3) and an empty
+    // destination (2); square() makes both gradients depend on the value.
+    let (src, dst) = (vec![0u32, 0, 2, 1, 2], vec![1u32, 1, 0, 0, 3]);
+    let w = Tensor::constant(test_input(5, 1, 82));
+    gradcheck(test_input(4, 3, 83), |p| p.edge_aggregate(&src, &dst, &w, 4).square().sum());
+    let x = Tensor::constant(test_input(4, 3, 84));
+    gradcheck(test_input(5, 1, 85), |p| x.edge_aggregate(&src, &dst, p, 4).square().sum());
+}
+
+#[test]
 fn grad_segment_mean() {
     let idx = vec![0u32, 0, 1, 2, 2, 2];
     gradcheck(test_input(6, 2, 40), |p| p.segment_mean(&idx, 4).square().sum());

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Builds the workspace and runs the full test suite twice: once with the
-# buffer pool disabled and kernels pinned serial (AUTOAC_POOL=0,
-# AUTOAC_NUM_THREADS=1) and once with the pool enabled at the hardware
-# thread count. Kernels are bitwise-deterministic across thread counts and
-# the pool is bitwise-invisible, so both runs must pass identically. Then:
+# Builds the workspace and runs every crate's test suite (--workspace: the
+# root manifest is a package, so a bare `cargo test` covers only it) twice:
+# once with the buffer pool disabled and kernels pinned serial
+# (AUTOAC_POOL=0, AUTOAC_NUM_THREADS=1) and once with the pool enabled at the
+# hardware thread count. Kernels are bitwise-deterministic across thread
+# counts and the pool is bitwise-invisible, so both runs must pass
+# identically. Then:
 #
 #  - a literal kill-and-resume smoke test of the checkpoint subsystem: a
 #    run SIGKILLed mid-search, resumed from its snapshots, must produce a
@@ -62,11 +64,11 @@ echo "== cargo build --release --workspace =="
 # live in member crates and must be built explicitly.
 cargo build --release --workspace
 
-echo "== cargo test -q (AUTOAC_POOL=0, AUTOAC_NUM_THREADS=1: no recycling, serial kernels) =="
-AUTOAC_SLOW_TESTS=1 AUTOAC_POOL=0 AUTOAC_NUM_THREADS=1 cargo test -q
+echo "== cargo test -q --workspace (AUTOAC_POOL=0, AUTOAC_NUM_THREADS=1: no recycling, serial kernels) =="
+AUTOAC_SLOW_TESTS=1 AUTOAC_POOL=0 AUTOAC_NUM_THREADS=1 cargo test -q --workspace
 
-echo "== cargo test -q (pool enabled, AUTOAC_NUM_THREADS=${MAX_THREADS}, parallel kernels) =="
-AUTOAC_SLOW_TESTS=1 AUTOAC_NUM_THREADS="${MAX_THREADS}" cargo test -q
+echo "== cargo test -q --workspace (pool enabled, AUTOAC_NUM_THREADS=${MAX_THREADS}, parallel kernels) =="
+AUTOAC_SLOW_TESTS=1 AUTOAC_NUM_THREADS="${MAX_THREADS}" cargo test -q --workspace
 
 echo "== checking pass: autoac-lint, suite under AUTOAC_CHECK=1, check_smoke =="
 cargo run -q --release -p autoac-check --bin autoac-lint \
