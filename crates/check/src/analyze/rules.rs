@@ -57,7 +57,6 @@ pub const ENV_REGISTRY: &[(&str, &str)] = &[
     ("AUTOAC_NUM_THREADS", "parse_threads_env"),
     ("AUTOAC_OBS", "parse_bool_env"),
     ("AUTOAC_POOL", "parse_bool_env"),
-    ("AUTOAC_SHARDS", "parse_shards_env"),
     ("AUTOAC_SLOW_TESTS", "parse_bool_env"),
     ("AUTOAC_TRACE", "parse_bool_env"),
 ];
@@ -66,7 +65,6 @@ pub const ENV_REGISTRY: &[(&str, &str)] = &[
 /// restores a serialized stream; everywhere else must derive streams from
 /// seeds so runs stay replayable from the config alone).
 const FROM_STATE_SANCTIONED: &[&str] = &[
-    "crates/core/src/minibatch.rs",
     "crates/core/src/search.rs",
     "crates/core/src/trainer.rs",
     "crates/core/src/infer.rs",
@@ -449,9 +447,14 @@ fn env_contract(ws: &Workspace, out: &mut AnalysisOutput) {
 
     for file in &ws.files {
         let mut reported: HashSet<String> = HashSet::new();
+        // The registry's own literals are not occurrences: a name only the
+        // registry (and the docs) mention is a stale entry.
+        let registry_def = registry_definition(file);
         for i in 0..file.toks.len() {
             match file.toks[i].kind {
-                super::lexer::TokKind::Str | super::lexer::TokKind::RawStr => {
+                super::lexer::TokKind::Str | super::lexer::TokKind::RawStr
+                    if !registry_def.is_some_and(|(a, b)| (a..=b).contains(&i)) =>
+                {
                     for name in autoac_words(file.tok_text(i)) {
                         seen_names.insert(name.clone());
                         if !registry.contains_key(name.as_str())
@@ -550,6 +553,16 @@ fn env_contract(ws: &Workspace, out: &mut AnalysisOutput) {
             }
         }
     }
+}
+
+/// Token range of the `const ENV_REGISTRY … ;` item, if `file` defines it.
+fn registry_definition(file: &SourceFile) -> Option<(usize, usize)> {
+    let start = (0..file.toks.len()).find(|&i| {
+        file.is_ident(i, "ENV_REGISTRY")
+            && file.prev_code(i).is_some_and(|p| file.is_ident(p, "const"))
+    })?;
+    let end = (start..file.toks.len()).find(|&j| file.is_punct(j, ';'))?;
+    Some((start, end))
 }
 
 /// `AUTOAC_*` words inside a string literal's text.

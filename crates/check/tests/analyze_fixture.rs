@@ -2,11 +2,13 @@
 //! analyze fixture tree — exactly once per rule — and stay silent on the
 //! real repository.
 
+use std::collections::HashMap;
 use std::path::PathBuf;
 
 use autoac_check::analyze::rules::{
     self, RULE_ENV, RULE_PANIC, RULE_RNG, RULE_UNSAFE, SERVE_ENTRY_POINTS,
 };
+use autoac_check::analyze::source::{FileKind, SourceFile};
 use autoac_check::analyze::workspace::Workspace;
 
 fn fixture_root() -> PathBuf {
@@ -89,4 +91,45 @@ fn panic_reachability_covers_every_serving_entry_point() {
     for e in &out.entry_points {
         assert!(e.contains("crates/serve/src/"), "entry outside serve: {e}");
     }
+}
+
+#[test]
+fn a_name_only_the_registry_and_the_docs_mention_is_stale() {
+    // Every registered name is read through its strict parser and
+    // documented, except that the first one occurs nowhere but in the
+    // registry's own definition: that entry must be reported stale.
+    let (stale, _) = rules::ENV_REGISTRY[0];
+    let entries: String =
+        rules::ENV_REGISTRY.iter().map(|(n, p)| format!("(\"{n}\", \"{p}\"), ")).collect();
+    let registry = format!("pub const ENV_REGISTRY: &[(&str, &str)] = &[{entries}];\n");
+    let reads: String = rules::ENV_REGISTRY
+        .iter()
+        .filter(|(n, _)| *n != stale)
+        .map(|(n, p)| {
+            format!("pub fn read_{}() {{ {p}(std::env::var(\"{n}\")); }}\n", n.to_lowercase())
+        })
+        .collect();
+    let rules_rs = "crates/check/src/analyze/rules.rs";
+    let ws = Workspace {
+        files: vec![
+            SourceFile::parse(rules_rs, "check", FileKind::Lib, registry),
+            SourceFile::parse("crates/obs/src/env.rs", "obs", FileKind::Lib, reads),
+        ],
+        calls: HashMap::new(),
+        call_sites: 0,
+        resolved_edges: 0,
+        has_docs: true,
+        docs_text: rules::ENV_REGISTRY.iter().map(|(n, _)| format!("`{n}`\n")).collect(),
+        dep_closure: HashMap::new(),
+    };
+    let out = rules::analyze(&ws);
+    let env: Vec<&str> = out
+        .report
+        .diagnostics
+        .iter()
+        .filter(|d| d.rule == RULE_ENV)
+        .map(|d| d.message.as_str())
+        .collect();
+    assert_eq!(env.len(), 1, "{env:?}");
+    assert!(env[0].contains(stale) && env[0].contains("stale registry entry"), "{env:?}");
 }

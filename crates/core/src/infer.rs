@@ -27,7 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::pipeline::{Backbone, CompletionMode, ForwardPipe, Pipeline};
-use crate::search::{search_cached, AutoAcConfig, ClassificationTask};
+use crate::search::{search_checkpointed, AutoAcConfig, ClassificationTask};
 use crate::trainer::{restore, snapshot, train_node_classification, ClsOutcome, TrainConfig};
 
 fn malformed(section: &str, reason: &'static str) -> CkptError {
@@ -257,7 +257,8 @@ pub fn train_serve_state(spec: &ServeTrainSpec) -> Result<(ServeState, ClsOutcom
     let assignment: Vec<CompletionOp> = match &spec.search {
         Some(ac) => {
             let task = ClassificationTask::new(&data);
-            search_cached(&data, spec.backbone, &cfg, ac, &task, spec.seed, &cache).assignment
+            search_checkpointed(&data, spec.backbone, &cfg, ac, &task, spec.seed, &cache, None)
+                .assignment
         }
         None => vec![CompletionOp::Mean; data.missing_nodes().len()],
     };

@@ -37,8 +37,7 @@ pub use hgca::{pretrain_hgca, run_hgca_classification, HgcaConfig, HgcaPipe};
 pub use infer::{train_serve_state, InferenceModel, ServeStateInfo, ServeTrainSpec};
 pub use hgnnac::{run_hgnnac_classification, HgnnAcConfig, HgnnAcPipe};
 pub use minibatch::{
-    parse_shards_env, run_autoac_classification_minibatch, search_minibatch,
-    train_node_classification_minibatch, MinibatchConfig, MinibatchPipeline,
+    search_minibatch, train_node_classification_minibatch, MinibatchConfig, MinibatchPipeline,
 };
 pub use pipeline::{random_assignment, Backbone, CompletionMode, ForwardPipe, Pipeline};
 pub use sampler::{batch_rng, NeighborSampler, SampledBatch};

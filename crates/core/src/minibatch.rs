@@ -1,5 +1,6 @@
-//! Neighbor-sampled minibatch variants of the AutoAC search and retraining
-//! loops, for graphs two orders of magnitude beyond the full-batch path.
+//! Neighbor-sampled and sharded minibatch schedules for the AutoAC search
+//! and retraining loops, for graphs two orders of magnitude beyond the
+//! full-batch path.
 //!
 //! Two batch schedules are supported, selected by [`MinibatchConfig`]:
 //!
@@ -11,19 +12,18 @@
 //!   epoch steps through the shards, whose operators live in a
 //!   [`ShardedOpCache`] keyed by segment fingerprint.
 //!
-//! The degenerate configuration ([`MinibatchConfig::full_batch`]) routes to
-//! the *exact* legacy full-batch functions, so its results are bitwise
-//! identical to the classic pipeline by construction — the CI digest check
-//! relies on this.
+//! Both run on the one training loop and the one search loop the
+//! whole-graph path uses. The degenerate configuration
+//! ([`MinibatchConfig::full_batch`]) routes to the whole-graph functions,
+//! so its results are bitwise identical to the classic pipeline by
+//! construction — the CI digest check relies on this.
 //!
 //! Checkpoints written by the minibatch loops carry a non-zero
 //! `RunMeta::segment_fp` (schedule + shard-plan fingerprint), so resuming a
 //! sharded run against a different partitioning fails loudly instead of
 //! silently mixing segment trajectories.
 
-use std::time::Instant;
-
-use autoac_ckpt::{CheckpointPolicy, Fingerprint, RunMeta, SearchState, TrainState};
+use autoac_ckpt::{CheckpointPolicy, Fingerprint, RunMeta};
 use autoac_completion::{
     complete_assigned, complete_assigned_in, complete_mixture_in, CompletionContext,
     CompletionOp, CompletionOps,
@@ -32,22 +32,21 @@ use autoac_data::Dataset;
 use autoac_graph::{HeteroGraph, OpCache, ShardPlan, ShardStrategy, ShardedOpCache};
 use autoac_nn::models::{Gcn, Gnn};
 use autoac_nn::{FeatureEncoder, Forward, GnnConfig};
-use autoac_tensor::{Adam, AdamConfig, Matrix, Tensor};
+use autoac_tensor::{Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
-use crate::cluster::{ClusterHead, ModularityContext};
-use crate::pipeline::{CompletionMode, ForwardPipe};
-use crate::proximal::{prox_c1, prox_c2};
+use crate::cluster::ModularityContext;
+use crate::pipeline::{Backbone, CompletionMode, ForwardPipe};
 use crate::sampler::{batch_rng, NeighborSampler};
 use crate::search::{
-    derive_assignment, resume_search_state, save_search_snapshot, AutoAcConfig, ClusteringMode,
-    SearchOutcome,
+    run_search, search_checkpointed, AutoAcConfig, ClassificationTask, ClusteringMode, Fill,
+    SearchOutcome, SearchSchedule,
 };
 use crate::trainer::{
-    eval_classification, restore, resume_train_state, save_train_snapshot, snapshot,
-    train_node_classification_checkpointed, ClsOutcome, TrainConfig,
+    descend, eval_classification, f1_score, fit, train_node_classification_checkpointed,
+    ClsOutcome, TrainConfig,
 };
 
 /// Reserved `batch` coordinate for per-epoch schedule shuffles (never
@@ -55,23 +54,6 @@ use crate::trainer::{
 const SCHEDULE_DRAW: u64 = u64::MAX;
 /// Reserved `epoch` coordinate for one-time validation-batch sampling.
 const VAL_DRAW: u64 = u64::MAX;
-
-/// Strict parser for `AUTOAC_SHARDS`: a positive decimal integer (`1`
-/// disables sharding). Empty values, garbage, and zero are errors — a
-/// malformed setting must abort instead of silently training full-batch.
-pub fn parse_shards_env(raw: &str) -> Result<usize, String> {
-    let t = raw.trim();
-    if t.is_empty() {
-        return Err("AUTOAC_SHARDS is set but empty; use a positive integer (or unset it)".into());
-    }
-    match t.parse::<usize>() {
-        Ok(0) => Err("AUTOAC_SHARDS=0 is invalid; shard count must be >= 1".into()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!(
-            "AUTOAC_SHARDS={t:?} is not a positive integer (overflow counts as invalid)"
-        )),
-    }
-}
 
 /// Minibatch schedule configuration.
 #[derive(Debug, Clone, Copy)]
@@ -120,16 +102,6 @@ impl MinibatchConfig {
     /// True when the shard schedule is active.
     pub fn is_sharded(&self) -> bool {
         self.shards >= 2
-    }
-
-    /// Applies the `AUTOAC_SHARDS` environment override (strictly parsed;
-    /// a malformed value panics).
-    pub fn from_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("AUTOAC_SHARDS") {
-            self.shards =
-                parse_shards_env(&raw).unwrap_or_else(|e| panic!("autoac-core: {e}"));
-        }
-        self
     }
 
     /// Segment fingerprint recorded in checkpoints: `0` for the full-batch
@@ -262,50 +234,6 @@ impl MinibatchPipeline {
         };
         self.gcn.forward_on(&bd.ctx.sym_adj, &x, training, rng)
     }
-
-    /// Builds one [`BatchData`] from a selection and its induced subgraph.
-    /// `cache` is the shard-segment cache (reused operators) or `None` for
-    /// one-shot sampled batches.
-    fn build_batch(
-        &self,
-        labels: &[u32],
-        in_train: &[bool],
-        in_val: &[bool],
-        nodes: Vec<u32>,
-        is_core: &[bool],
-        graph: HeteroGraph,
-        cache: Option<&OpCache>,
-    ) -> BatchData {
-        let has_attr_sub: Vec<bool> =
-            nodes.iter().map(|&v| self.has_attr[v as usize]).collect();
-        let ctx = match cache {
-            Some(c) => CompletionContext::build_cached(&graph, &has_attr_sub, c),
-            None => CompletionContext::build(&graph, &has_attr_sub),
-        };
-        let onehot_rows: Vec<u32> = ctx
-            .missing
-            .iter()
-            .map(|&i| {
-                let p = self.missing_index[nodes[i as usize] as usize];
-                assert!(p != u32::MAX, "batch missing node is attributed globally");
-                p
-            })
-            .collect();
-        let labels_sub: Vec<u32> = nodes.iter().map(|&v| labels[v as usize]).collect();
-        let mut loss_rows = Vec::new();
-        let mut val_rows = Vec::new();
-        for (i, &v) in nodes.iter().enumerate() {
-            if !is_core[i] {
-                continue;
-            }
-            if in_train[v as usize] {
-                loss_rows.push(i as u32);
-            } else if in_val[v as usize] {
-                val_rows.push(i as u32);
-            }
-        }
-        BatchData { nodes, graph, ctx, onehot_rows, labels: labels_sub, loss_rows, val_rows }
-    }
 }
 
 impl ForwardPipe for MinibatchPipeline {
@@ -340,22 +268,26 @@ impl ForwardPipe for MinibatchPipeline {
     }
 }
 
-/// The batch schedule, fixed for a whole run.
-enum Schedule {
+/// How a run's batches are made.
+enum Mode {
     /// Precomputed shard batches (core ∪ halo subgraphs with cached ops).
     Shards { batches: Vec<BatchData>, plan_fp: u64 },
     /// Per-epoch neighbor-sampled batches over the shuffled train split,
     /// plus one fixed validation batch.
-    Sampled { sampler: NeighborSampler, train_ids: Vec<u32>, val_batch: Option<BatchData> },
+    Sampled { sampler: NeighborSampler, val_batch: Option<BatchData> },
 }
 
-impl Schedule {
-    fn plan_fp(&self) -> u64 {
-        match self {
-            Schedule::Shards { plan_fp, .. } => *plan_fp,
-            Schedule::Sampled { .. } => 0,
-        }
-    }
+/// The batch schedule of one run, fixed at its start, with what building
+/// a batch needs: labels and split membership by global id.
+struct Schedule<'a> {
+    pipe: &'a MinibatchPipeline,
+    data: &'a Dataset,
+    mb: MinibatchConfig,
+    seed: u64,
+    labels: Vec<u32>,
+    in_train: Vec<bool>,
+    in_val: Vec<bool>,
+    mode: Mode,
 }
 
 fn membership_mask(n: usize, ids: &[u32]) -> Vec<bool> {
@@ -366,143 +298,160 @@ fn membership_mask(n: usize, ids: &[u32]) -> Vec<bool> {
     mask
 }
 
-/// Builds the run's schedule. Shard batches (and their cached operators)
-/// are extracted once up front; sampled mode builds its fixed validation
-/// batch (a deterministic subset of the val split plus sampled halo).
-fn build_schedule(
-    pipe: &MinibatchPipeline,
-    data: &Dataset,
-    mb: &MinibatchConfig,
-    labels: &[u32],
-    in_train: &[bool],
-    in_val: &[bool],
-    seed: u64,
-) -> Schedule {
-    if mb.is_sharded() {
-        let plan = ShardPlan::partition(&data.graph, mb.strategy, mb.shards);
-        let seg_cache = ShardedOpCache::new();
-        let batches: Vec<BatchData> = plan
-            .extract_all(&data.graph)
-            .into_iter()
-            .map(|shard| {
-                let seg = seg_cache.for_graph(&shard.graph);
-                pipe.build_batch(
-                    labels,
-                    in_train,
-                    in_val,
-                    shard.nodes,
-                    &shard.is_core,
-                    shard.graph,
-                    Some(&seg),
-                )
+impl<'a> Schedule<'a> {
+    /// Builds the run's schedule. Shard batches (and their cached
+    /// operators) are extracted once up front; sampled mode builds its
+    /// fixed validation batch (a deterministic subset of the val split plus
+    /// sampled halo). Draws nothing from the training RNG.
+    fn new(
+        pipe: &'a MinibatchPipeline,
+        data: &'a Dataset,
+        mb: &MinibatchConfig,
+        seed: u64,
+    ) -> Self {
+        let n = data.graph.num_nodes();
+        let mut s = Schedule {
+            pipe,
+            data,
+            mb: *mb,
+            seed,
+            labels: data.global_labels(),
+            in_train: membership_mask(n, &data.split.train),
+            in_val: membership_mask(n, &data.split.val),
+            // Placeholder: the batches of the real mode are built by `s`.
+            mode: Mode::Shards { batches: Vec::new(), plan_fp: 0 },
+        };
+        s.mode = if mb.is_sharded() {
+            let plan = ShardPlan::partition(&data.graph, mb.strategy, mb.shards);
+            let seg_cache = ShardedOpCache::new();
+            let batches = plan
+                .extract_all(&data.graph)
+                .into_iter()
+                .map(|shard| {
+                    let seg = seg_cache.for_graph(&shard.graph);
+                    s.batch(shard.nodes, &shard.is_core, shard.graph, Some(&seg))
+                })
+                .collect();
+            Mode::Shards { batches, plan_fp: plan.fingerprint() }
+        } else {
+            assert!(mb.batch_size > 0, "minibatch config is full-batch");
+            let sampler = NeighborSampler::new(&data.graph);
+            let val_batch = (!data.split.val.is_empty()).then(|| {
+                // A fixed, deterministic validation core: up to one batch
+                // worth of val nodes (at least 256 for a stable early-stop
+                // signal).
+                let mut val_ids = data.split.val.clone();
+                val_ids.shuffle(&mut batch_rng(seed, VAL_DRAW, 0));
+                val_ids.truncate(mb.batch_size.max(256).min(val_ids.len()));
+                s.sample(&sampler, &val_ids, VAL_DRAW, 1)
+            });
+            Mode::Sampled { sampler, val_batch }
+        };
+        s
+    }
+
+    /// The `RunMeta::segment_fp` of runs over this schedule.
+    fn segment_fp(&self) -> u64 {
+        self.mb.segment_fp(match self.mode {
+            Mode::Shards { plan_fp, .. } => plan_fp,
+            Mode::Sampled { .. } => 0,
+        })
+    }
+
+    /// Builds one [`BatchData`] from a selection and its induced subgraph.
+    /// `cache` is the shard-segment cache (reused operators) or `None` for
+    /// one-shot sampled batches.
+    fn batch(
+        &self,
+        nodes: Vec<u32>,
+        is_core: &[bool],
+        graph: HeteroGraph,
+        cache: Option<&OpCache>,
+    ) -> BatchData {
+        let has_attr_sub: Vec<bool> =
+            nodes.iter().map(|&v| self.pipe.has_attr[v as usize]).collect();
+        let ctx = match cache {
+            Some(c) => CompletionContext::build_cached(&graph, &has_attr_sub, c),
+            None => CompletionContext::build(&graph, &has_attr_sub),
+        };
+        let onehot_rows: Vec<u32> = ctx
+            .missing
+            .iter()
+            .map(|&i| {
+                let p = self.pipe.missing_index[nodes[i as usize] as usize];
+                assert!(p != u32::MAX, "batch missing node is attributed globally");
+                p
             })
             .collect();
-        Schedule::Shards { batches, plan_fp: plan.fingerprint() }
-    } else {
-        assert!(mb.batch_size > 0, "minibatch config is full-batch");
-        let sampler = NeighborSampler::new(&data.graph);
-        let val_batch = if data.split.val.is_empty() {
-            None
-        } else {
-            // A fixed, deterministic validation core: up to one batch worth
-            // of val nodes (at least 256 for a stable early-stop signal).
-            let mut val_ids = data.split.val.clone();
-            val_ids.shuffle(&mut batch_rng(seed, VAL_DRAW, 0));
-            val_ids.truncate(mb.batch_size.max(256).min(val_ids.len()));
-            let batch = sampler.sample(
-                &data.graph,
-                &val_ids,
-                mb.fanout,
-                mb.hops,
-                &mut batch_rng(seed, VAL_DRAW, 1),
-            );
-            Some(pipe.build_batch(
-                labels,
-                in_train,
-                in_val,
-                batch.nodes,
-                &batch.is_core,
-                batch.graph,
-                None,
-            ))
-        };
-        Schedule::Sampled { sampler, train_ids: data.split.train.clone(), val_batch }
-    }
-}
-
-/// The sampled-mode batch cores for one epoch: the train split shuffled by
-/// a `(seed, epoch)`-derived RNG and cut into `batch_size` chunks,
-/// optionally truncated to `batches_per_epoch`.
-fn epoch_cores(
-    train_ids: &[u32],
-    mb: &MinibatchConfig,
-    seed: u64,
-    epoch: usize,
-) -> Vec<Vec<u32>> {
-    let mut order = train_ids.to_vec();
-    order.shuffle(&mut batch_rng(seed, epoch as u64, SCHEDULE_DRAW));
-    let mut cores: Vec<Vec<u32>> =
-        order.chunks(mb.batch_size).map(<[u32]>::to_vec).collect();
-    if mb.batches_per_epoch > 0 {
-        cores.truncate(mb.batches_per_epoch);
-    }
-    cores
-}
-
-/// Scores one batch's core validation rows into `pred`/`truth`.
-fn score_val_rows(
-    pipe: &MinibatchPipeline,
-    bd: &BatchData,
-    pred: &mut Vec<u32>,
-    truth: &mut Vec<u32>,
-    rng: &mut StdRng,
-) {
-    if bd.val_rows.is_empty() {
-        return;
-    }
-    let fwd = pipe.forward_batch(bd, false, rng);
-    let out = fwd.output.value();
-    for &r in &bd.val_rows {
-        pred.push(out.argmax_row(r as usize) as u32);
-        truth.push(bd.labels[r as usize]);
-    }
-}
-
-/// Validation F1 for one epoch. Shard mode evaluates every shard's core
-/// val rows (each val node is core in exactly one shard → exact coverage);
-/// sampled mode scores the fixed validation batch.
-fn eval_val_minibatch(
-    pipe: &MinibatchPipeline,
-    schedule: &Schedule,
-    num_classes: usize,
-    rng: &mut StdRng,
-) -> autoac_eval::F1Scores {
-    autoac_tensor::no_grad(|| {
-        let mut pred = Vec::new();
-        let mut truth = Vec::new();
-        match schedule {
-            Schedule::Shards { batches, .. } => {
-                for bd in batches {
-                    score_val_rows(pipe, bd, &mut pred, &mut truth, rng);
-                }
+        let labels: Vec<u32> = nodes.iter().map(|&v| self.labels[v as usize]).collect();
+        let mut loss_rows = Vec::new();
+        let mut val_rows = Vec::new();
+        for (i, &v) in nodes.iter().enumerate() {
+            if !is_core[i] {
+                continue;
             }
-            Schedule::Sampled { val_batch, .. } => {
-                if let Some(bd) = val_batch {
-                    score_val_rows(pipe, bd, &mut pred, &mut truth, rng);
-                }
+            if self.in_train[v as usize] {
+                loss_rows.push(i as u32);
+            } else if self.in_val[v as usize] {
+                val_rows.push(i as u32);
             }
         }
-        autoac_eval::f1_scores(&pred, &truth, num_classes)
-    })
+        BatchData { nodes, graph, ctx, onehot_rows, labels, loss_rows, val_rows }
+    }
+
+    /// The sampled batch around `core`, expanded under the `(seed, epoch,
+    /// batch)` stream — the one builder of every sampled batch.
+    fn sample(&self, sampler: &NeighborSampler, core: &[u32], epoch: u64, batch: u64) -> BatchData {
+        let mut rng = batch_rng(self.seed, epoch, batch);
+        let b = sampler.sample(&self.data.graph, core, self.mb.fanout, self.mb.hops, &mut rng);
+        self.batch(b.nodes, &b.is_core, b.graph, None)
+    }
+
+    /// The sampled-mode batch cores for one epoch: the train split shuffled
+    /// by a `(seed, epoch)`-derived RNG and cut into `batch_size` chunks,
+    /// optionally truncated to `batches_per_epoch`.
+    fn cores(&self, epoch: usize) -> Vec<Vec<u32>> {
+        let mut order = self.data.split.train.clone();
+        order.shuffle(&mut batch_rng(self.seed, epoch as u64, SCHEDULE_DRAW));
+        let mut cores: Vec<Vec<u32>> =
+            order.chunks(self.mb.batch_size).map(<[u32]>::to_vec).collect();
+        if self.mb.batches_per_epoch > 0 {
+            cores.truncate(self.mb.batches_per_epoch);
+        }
+        cores
+    }
+
+    /// Validation F1 for one epoch. Shard mode evaluates every shard's core
+    /// val rows (each val node is core in exactly one shard → exact
+    /// coverage); sampled mode scores the fixed validation batch.
+    fn val_scores(&self, rng: &mut StdRng) -> autoac_eval::F1Scores {
+        let batches = match &self.mode {
+            Mode::Shards { batches, .. } => batches.as_slice(),
+            Mode::Sampled { val_batch, .. } => val_batch.as_slice(),
+        };
+        autoac_tensor::no_grad(|| {
+            let mut pred = Vec::new();
+            let mut truth = Vec::new();
+            for bd in batches.iter().filter(|bd| !bd.val_rows.is_empty()) {
+                let fwd = self.pipe.forward_batch(bd, false, rng);
+                let out = fwd.output.value();
+                for &r in &bd.val_rows {
+                    pred.push(out.argmax_row(r as usize) as u32);
+                    truth.push(bd.labels[r as usize]);
+                }
+            }
+            autoac_eval::f1_scores(&pred, &truth, self.data.num_classes)
+        })
+    }
 }
 
 /// Minibatch node-classification training.
 ///
 /// With a full-batch [`MinibatchConfig`] this *is*
 /// [`train_node_classification_checkpointed`] — same code path, bitwise
-/// identical results. Otherwise the epoch loop steps through the schedule's
-/// batches, early-stops on (approximate) validation Micro-F1, and finishes
-/// with an **exact** whole-graph test evaluation.
+/// identical results. Otherwise each epoch steps through the schedule's
+/// batches, early-stops on (approximate) validation Micro-F1, and the run
+/// finishes with an **exact** whole-graph test evaluation.
 pub fn train_node_classification_minibatch(
     pipe: &MinibatchPipeline,
     data: &Dataset,
@@ -516,50 +465,13 @@ pub fn train_node_classification_minibatch(
     }
     assert!(data.num_classes > 0, "dataset has no classification task");
     let mut rng = StdRng::seed_from_u64(seed);
-    let labels = data.global_labels();
-    let n = data.graph.num_nodes();
-    let in_train = membership_mask(n, &data.split.train);
-    let in_val = membership_mask(n, &data.split.val);
-    let schedule = build_schedule(pipe, data, mb, &labels, &in_train, &in_val, seed);
-
-    let params = pipe.params();
-    let mut opt = Adam::new(params.clone(), AdamConfig::with(cfg.lr, cfg.weight_decay));
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_snap = snapshot(&params);
-    let mut bad_epochs = 0;
-
+    let schedule = Schedule::new(pipe, data, mb, seed);
+    let graph_fp = data.graph.structural_fingerprint();
     let meta = RunMeta {
-        kind: "train-cls-mb".into(),
-        graph_fp: data.graph.structural_fingerprint(),
-        config_fp: cfg.fingerprint(),
-        seed,
-        segment_fp: mb.segment_fp(schedule.plan_fp()),
+        segment_fp: schedule.segment_fp(),
+        ..RunMeta::whole_graph("train-cls-mb", graph_fp, cfg.fingerprint(), seed)
     };
-    let mut start_epoch = 0usize;
-    let mut elapsed_prior = 0.0f64;
-    if let Some(pol) = policy {
-        if let Some(state) = resume_train_state(pol, &meta, params.len()) {
-            restore(&params, &state.params);
-            opt.import_state(state.opt);
-            best_val = state.best_val;
-            best_snap = state.best_snap;
-            bad_epochs = state.bad_epochs as usize;
-            rng = StdRng::from_state(state.rng);
-            start_epoch = state.epochs_done as usize;
-            elapsed_prior = state.elapsed_seconds;
-        }
-    }
-
-    let start = Instant::now();
-    let _obs_train = autoac_obs::span("train");
-    let mut epochs_run = start_epoch;
-    for epoch in start_epoch..cfg.epochs {
-        if bad_epochs > 0 && bad_epochs >= cfg.patience {
-            break;
-        }
-        let _obs_epoch = autoac_obs::span("epoch");
-        epochs_run = epoch + 1;
-
+    let (epochs_run, seconds) = fit(&pipe.params(), cfg, meta, &mut rng, policy, |epoch, opt, rng| {
         let mut loss_sum = 0.0f64;
         let mut steps = 0u32;
         let mut step = |bd: &BatchData, rng: &mut StdRng| {
@@ -569,94 +481,151 @@ pub fn train_node_classification_minibatch(
             opt.zero_grad();
             let fwd = pipe.forward_batch(bd, true, rng);
             let loss = fwd.output.cross_entropy_rows(&bd.labels, &bd.loss_rows);
-            autoac_check::tape::verify_backward_if_enabled(&loss);
             if autoac_obs::enabled() {
                 loss_sum += f64::from(loss.item());
                 steps += 1;
             }
-            loss.backward();
-            opt.clip_grad_norm(5.0);
-            opt.step();
+            descend(opt, &loss);
             autoac_obs::counter_add("minibatch_steps", 1);
         };
-        match &schedule {
-            Schedule::Shards { batches, .. } => {
+        match &schedule.mode {
+            Mode::Shards { batches, .. } => {
                 for bd in batches {
-                    step(bd, &mut rng);
+                    step(bd, rng);
                 }
             }
-            Schedule::Sampled { sampler, train_ids, .. } => {
-                for (b, core) in epoch_cores(train_ids, mb, seed, epoch).iter().enumerate() {
-                    let batch = sampler.sample(
-                        &data.graph,
-                        core,
-                        mb.fanout,
-                        mb.hops,
-                        &mut batch_rng(seed, epoch as u64, b as u64),
-                    );
-                    let bd = pipe.build_batch(
-                        &labels,
-                        &in_train,
-                        &in_val,
-                        batch.nodes,
-                        &batch.is_core,
-                        batch.graph,
-                        None,
-                    );
-                    step(&bd, &mut rng);
+            Mode::Sampled { sampler, .. } => {
+                for (b, core) in schedule.cores(epoch).iter().enumerate() {
+                    step(&schedule.sample(sampler, core, epoch as u64, b as u64), rng);
                 }
             }
         }
-        drop(step);
         if autoac_obs::enabled() && steps > 0 {
             autoac_obs::series("train_loss", epoch as u64, loss_sum / f64::from(steps));
         }
-
-        let scores = eval_val_minibatch(pipe, &schedule, data.num_classes, &mut rng);
-        if autoac_obs::enabled() {
-            autoac_obs::series("val_micro_f1", epoch as u64, scores.micro_f1);
-            autoac_obs::series("val_macro_f1", epoch as u64, scores.macro_f1);
-        }
-        let val = scores.micro_f1;
-        if val > best_val {
-            best_val = val;
-            best_snap = snapshot(&params);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-        }
-
-        if let Some(pol) = policy {
-            if pol.should_checkpoint(epoch + 1) {
-                let state = TrainState {
-                    meta: meta.clone(),
-                    epochs_done: (epoch + 1) as u64,
-                    elapsed_seconds: elapsed_prior + start.elapsed().as_secs_f64(),
-                    rng: rng.state(),
-                    params: snapshot(&params),
-                    opt: opt.export_state(),
-                    best_val,
-                    best_snap: best_snap.clone(),
-                    bad_epochs: bad_epochs as u64,
-                };
-                save_train_snapshot(pol, epoch + 1, &state.to_snapshot());
-            }
-            pol.throttle();
-        }
-    }
-    drop(_obs_train);
-    restore(&params, &best_snap);
-    let seconds = elapsed_prior + start.elapsed().as_secs_f64();
+        f1_score(epoch, &schedule.val_scores(rng))
+    });
     // Exact whole-graph test evaluation (the sampling approximation only
     // ever touches the training trajectory, never the reported metric).
     let test = eval_classification(pipe, data, &data.split.test, &mut rng);
     ClsOutcome { macro_f1: test.macro_f1, micro_f1: test.micro_f1, seconds, epochs_run }
 }
 
-/// Minibatch AutoAC search (classification). Full-batch configs route to
-/// the exact legacy [`search_checkpointed`](crate::search::search_checkpointed)
-/// loop; minibatch configs run one α step (on a val-cored batch) and one ω
-/// step (on a train-cored batch) per epoch, rotating through the schedule.
+/// The batched search schedule: each epoch's α step runs on a val-cored
+/// batch and its ω step on a train-cored batch, rotating through the
+/// schedule.
+struct Batched<'a> {
+    schedule: Schedule<'a>,
+    /// `L_GmoC` contexts of the shard batches, built once alongside them
+    /// (GmoC only).
+    modularity: Vec<ModularityContext>,
+    clusters: usize,
+    hidden_dim: usize,
+    /// This epoch's shard.
+    slot: usize,
+    /// This epoch's sampled train batch.
+    sampled: Option<BatchData>,
+}
+
+impl Batched<'_> {
+    /// This epoch's α (`validation`) or ω batch; shard batches carry their
+    /// own core val rows.
+    fn batch(&self, validation: bool) -> Option<&BatchData> {
+        match &self.schedule.mode {
+            Mode::Shards { batches, .. } => Some(&batches[self.slot]),
+            Mode::Sampled { val_batch, .. } if validation => val_batch.as_ref(),
+            Mode::Sampled { .. } => self.sampled.as_ref(),
+        }
+    }
+
+    fn train_batch(&self) -> &BatchData {
+        self.batch(false).expect("begin_epoch samples the epoch's train batch")
+    }
+}
+
+impl SearchSchedule for Batched<'_> {
+    fn num_missing(&self) -> usize {
+        self.schedule.pipe.ops.ctx().num_missing()
+    }
+
+    fn omega(&self) -> Vec<Tensor> {
+        let pipe = self.schedule.pipe;
+        let mut omega = pipe.encoder.params();
+        omega.extend(pipe.ops.params());
+        omega.extend(pipe.gcn.params());
+        omega
+    }
+
+    fn hidden_dim(&self, _rng: &mut StdRng) -> usize {
+        self.hidden_dim
+    }
+
+    fn begin_epoch(&mut self, epoch: usize) {
+        match &self.schedule.mode {
+            Mode::Shards { batches, .. } => self.slot = epoch % batches.len(),
+            Mode::Sampled { sampler, .. } => {
+                // Drop the last epoch's batch before sampling this one, so
+                // one sampled batch is alive at a time.
+                self.sampled = None;
+                let cores = self.schedule.cores(epoch);
+                let core = &cores[epoch % cores.len()];
+                self.sampled = Some(self.schedule.sample(sampler, core, epoch as u64, 0));
+            }
+        }
+    }
+
+    fn forward(
+        &self,
+        validation: bool,
+        fill: Fill,
+        cluster_of: &[u32],
+        rng: &mut StdRng,
+    ) -> Option<(Forward, Tensor)> {
+        let bd = self.batch(validation)?;
+        let rows = if validation { &bd.val_rows } else { &bd.loss_rows };
+        if rows.is_empty() {
+            return None;
+        }
+        let pipe = self.schedule.pipe;
+        let x0 = pipe.encoder.encode_subset(&pipe.features, &bd.nodes);
+        let x = match fill {
+            Fill::Mixture(w) => {
+                let clusters: Vec<u32> =
+                    bd.onehot_rows.iter().map(|&p| cluster_of[p as usize]).collect();
+                let per_node = w.gather_rows(&clusters);
+                complete_mixture_in(&pipe.ops, &bd.ctx, &bd.onehot_rows, &x0, &per_node)
+            }
+            Fill::Assigned(assignment) => {
+                let sub: Vec<CompletionOp> =
+                    bd.onehot_rows.iter().map(|&p| assignment[p as usize]).collect();
+                complete_assigned_in(&pipe.ops, &bd.ctx, &bd.onehot_rows, &x0, &sub)
+            }
+        };
+        let fwd = pipe.gcn.forward_on(&bd.ctx.sym_adj, &x, true, rng);
+        let loss = fwd.output.cross_entropy_rows(&bd.labels, rows);
+        Some((fwd, loss))
+    }
+
+    fn modularity_loss(&self, c: &Tensor) -> Tensor {
+        match &self.schedule.mode {
+            Mode::Shards { .. } => self.modularity[self.slot].loss(c),
+            Mode::Sampled { .. } => {
+                ModularityContext::build(&self.train_batch().graph, self.clusters).loss(c)
+            }
+        }
+    }
+
+    fn missing_rows(&self) -> (&[u32], &[u32]) {
+        let bd = self.train_batch();
+        (&bd.ctx.missing, &bd.onehot_rows)
+    }
+}
+
+/// Minibatch AutoAC search (classification) on the one search loop. Full-
+/// batch configs route to the whole-graph
+/// [`search_checkpointed`](crate::search::search_checkpointed); minibatch
+/// configs run one α step (on a val-cored batch) and one ω step (on a
+/// train-cored batch) per epoch, rotating through the schedule.
 ///
 /// Supported clustering modes: [`ClusteringMode::GmoC`] (modularity built
 /// over the batch subgraph; cluster ids refreshed incrementally for the
@@ -673,17 +642,8 @@ pub fn search_minibatch(
     policy: Option<&CheckpointPolicy>,
 ) -> SearchOutcome {
     if mb.is_full_batch() {
-        let task = crate::search::ClassificationTask::new(data);
-        return crate::search::search_checkpointed(
-            data,
-            crate::pipeline::Backbone::Gcn,
-            gnn_cfg,
-            ac,
-            &task,
-            seed,
-            cache,
-            policy,
-        );
+        let task = ClassificationTask::new(data);
+        return search_checkpointed(data, Backbone::Gcn, gnn_cfg, ac, &task, seed, cache, policy);
     }
     assert!(
         matches!(ac.clustering, ClusteringMode::GmoC | ClusteringMode::NoCluster),
@@ -691,292 +651,24 @@ pub fn search_minibatch(
     );
     let mut rng = StdRng::seed_from_u64(seed);
     let pipe = MinibatchPipeline::new_cached(data, gnn_cfg, CompletionMode::Zero, cache, &mut rng);
-    let n_minus = pipe.ops.ctx().num_missing();
-    let num_ops = CompletionOp::ALL.len();
-    if n_minus == 0 {
-        return SearchOutcome {
-            assignment: Vec::new(),
-            cluster_of: Vec::new(),
-            alpha: Matrix::zeros(0, num_ops),
-            search_seconds: 0.0,
-            gmoc_trace: Vec::new(),
-            op_histogram: [0; 4],
-        };
-    }
-    let use_clusters = ac.clustering != ClusteringMode::NoCluster;
-    let alpha_rows = if use_clusters { ac.clusters } else { n_minus };
-
-    let mut alpha_init = Matrix::full(alpha_rows, num_ops, 1.0 / num_ops as f32);
-    for v in alpha_init.data_mut() {
-        *v += rng.gen_range(-0.01..0.01);
-    }
-    let alpha = Tensor::param(alpha_init);
-    let mut alpha_opt =
-        Adam::new(vec![alpha.clone()], AdamConfig::with(ac.alpha_lr, ac.alpha_wd));
-
+    let schedule = Schedule::new(&pipe, data, mb, seed);
+    let clusters = ac.clusters.max(2);
+    let modularity = match (&schedule.mode, ac.clustering) {
+        (Mode::Shards { batches, .. }, ClusteringMode::GmoC) => {
+            batches.iter().map(|bd| ModularityContext::build(&bd.graph, clusters)).collect()
+        }
+        _ => Vec::new(),
+    };
+    let graph_fp = data.graph.structural_fingerprint();
+    let meta = RunMeta {
+        segment_fp: schedule.segment_fp(),
+        ..RunMeta::whole_graph("search-mb", graph_fp, ac.fingerprint(), seed)
+    };
     // The GCN's penultimate width is static — no whole-graph dry forward
     // needed to size the clustering head.
     let hidden_dim = if gnn_cfg.layers >= 2 { gnn_cfg.hidden } else { gnn_cfg.in_dim };
-    let head = ClusterHead::new(hidden_dim, ac.clusters.max(2), &mut rng);
-
-    let mut omega: Vec<Tensor> = pipe.encoder.params();
-    omega.extend(pipe.ops.params());
-    omega.extend(pipe.gcn.params());
-    if matches!(ac.clustering, ClusteringMode::GmoC) {
-        omega.extend(head.params());
-    }
-    let mut omega_opt =
-        Adam::new(omega.clone(), AdamConfig::with(ac.train.lr, ac.train.weight_decay));
-
-    let mut cluster_of: Vec<u32> = if use_clusters {
-        (0..n_minus).map(|_| rng.gen_range(0..ac.clusters) as u32).collect()
-    } else {
-        (0..n_minus as u32).collect()
-    };
-
-    let labels = data.global_labels();
-    let n = data.graph.num_nodes();
-    let in_train = membership_mask(n, &data.split.train);
-    let in_val = membership_mask(n, &data.split.val);
-    let schedule = build_schedule(&pipe, data, mb, &labels, &in_train, &in_val, seed);
-    // Modularity contexts for shard batches, built once alongside them.
-    let shard_modularity: Vec<ModularityContext> = match (&schedule, ac.clustering) {
-        (Schedule::Shards { batches, .. }, ClusteringMode::GmoC) => batches
-            .iter()
-            .map(|bd| ModularityContext::build(&bd.graph, ac.clusters.max(2)))
-            .collect(),
-        _ => Vec::new(),
-    };
-
-    let mut gmoc_trace = Vec::with_capacity(ac.search_epochs);
-    let mut best_val = f32::INFINITY;
-    let mut best_snapshot: Option<(Matrix, Vec<u32>)> = None;
-
-    let meta = RunMeta {
-        kind: "search-mb".into(),
-        graph_fp: data.graph.structural_fingerprint(),
-        config_fp: ac.fingerprint(),
-        seed,
-        segment_fp: mb.segment_fp(schedule.plan_fp()),
-    };
-    let mut start_epoch = 0usize;
-    let mut elapsed_prior = 0.0f64;
-    if let Some(pol) = policy {
-        if let Some(state) = resume_search_state(pol, &meta, omega.len()) {
-            alpha.set_value(state.alpha);
-            for (p, m) in omega.iter().zip(state.omega) {
-                p.set_value(m);
-            }
-            alpha_opt.import_state(state.alpha_opt);
-            omega_opt.import_state(state.omega_opt);
-            cluster_of = state.cluster_of;
-            best_val = state.best_val;
-            best_snapshot = state.best;
-            gmoc_trace = state.gmoc_trace;
-            rng = StdRng::from_state(state.rng);
-            start_epoch = state.epochs_done as usize;
-            elapsed_prior = state.elapsed_seconds;
-        }
-    }
-
-    let start = Instant::now();
-    let _obs_search = autoac_obs::span("search");
-    for epoch in start_epoch..ac.search_epochs {
-        let _obs_epoch = autoac_obs::span("epoch");
-        // This epoch's train-cored batch (and its schedule slot, so shard
-        // mode can pick the matching modularity context).
-        let sampled_store: Option<BatchData> = match &schedule {
-            Schedule::Shards { .. } => None,
-            Schedule::Sampled { sampler, train_ids, .. } => {
-                let cores = epoch_cores(train_ids, mb, seed, epoch);
-                let core = &cores[epoch % cores.len()];
-                let batch = sampler.sample(
-                    &data.graph,
-                    core,
-                    mb.fanout,
-                    mb.hops,
-                    &mut batch_rng(seed, epoch as u64, 0),
-                );
-                Some(pipe.build_batch(
-                    &labels,
-                    &in_train,
-                    &in_val,
-                    batch.nodes,
-                    &batch.is_core,
-                    batch.graph,
-                    None,
-                ))
-            }
-        };
-        let (train_bd, slot): (&BatchData, usize) = match (&schedule, &sampled_store) {
-            (Schedule::Shards { batches, .. }, _) => {
-                let s = epoch % batches.len();
-                (&batches[s], s)
-            }
-            (Schedule::Sampled { .. }, Some(bd)) => (bd, 0),
-            (Schedule::Sampled { .. }, None) => unreachable!("sampled batch was just built"),
-        };
-
-        // ------- Upper level: α on validation rows -----------------------
-        alpha_opt.zero_grad();
-        omega_opt.zero_grad();
-        if epoch >= ac.omega_warmup {
-            let _obs = autoac_obs::span("alpha");
-            let val_bd: Option<&BatchData> = match &schedule {
-                // Shard batches carry their own core val rows.
-                Schedule::Shards { .. } => Some(train_bd),
-                Schedule::Sampled { val_batch, .. } => val_batch.as_ref(),
-            };
-            if let Some(bd) = val_bd.filter(|bd| !bd.val_rows.is_empty()) {
-                let x0 = pipe.encoder.encode_subset(&pipe.features, &bd.nodes);
-                let (weights_tensor, grad_target) = if ac.discrete {
-                    let abar = Tensor::param(prox_c1(&alpha.value()));
-                    (abar.clone(), abar)
-                } else {
-                    (alpha.softmax_rows(), alpha.clone())
-                };
-                let cluster_rows: Vec<u32> =
-                    bd.onehot_rows.iter().map(|&p| cluster_of[p as usize]).collect();
-                let per_node = weights_tensor.gather_rows(&cluster_rows);
-                let x = complete_mixture_in(&pipe.ops, &bd.ctx, &bd.onehot_rows, &x0, &per_node);
-                let fwd = pipe.gcn.forward_on(&bd.ctx.sym_adj, &x, true, &mut rng);
-                let loss = fwd.output.cross_entropy_rows(&bd.labels, &bd.val_rows);
-                let val = loss.item();
-                autoac_obs::series("search_val_loss", epoch as u64, f64::from(val));
-                if val < best_val {
-                    best_val = val;
-                    best_snapshot = Some((alpha.to_matrix(), cluster_of.clone()));
-                }
-                autoac_check::tape::verify_backward_if_enabled(&loss);
-                loss.backward();
-                if ac.discrete {
-                    if let Some(g) = grad_target.take_grad() {
-                        alpha.accum_grad_public_owned(g);
-                    }
-                }
-                alpha_opt.step();
-                if ac.discrete {
-                    alpha.update_value(|m| *m = prox_c2(m));
-                }
-            }
-        }
-
-        // ------- Lower level: ω on the train batch -----------------------
-        omega_opt.zero_grad();
-        alpha.zero_grad();
-        if !train_bd.loss_rows.is_empty() {
-            let _obs = autoac_obs::span("omega");
-            let bd = train_bd;
-            let x0 = pipe.encoder.encode_subset(&pipe.features, &bd.nodes);
-            let x = if ac.discrete {
-                let assignment = derive_assignment(&alpha.value(), &cluster_of);
-                let sub: Vec<CompletionOp> =
-                    bd.onehot_rows.iter().map(|&p| assignment[p as usize]).collect();
-                complete_assigned_in(&pipe.ops, &bd.ctx, &bd.onehot_rows, &x0, &sub)
-            } else {
-                let cluster_rows: Vec<u32> =
-                    bd.onehot_rows.iter().map(|&p| cluster_of[p as usize]).collect();
-                let per_node = alpha.softmax_rows().gather_rows(&cluster_rows);
-                complete_mixture_in(&pipe.ops, &bd.ctx, &bd.onehot_rows, &x0, &per_node)
-            };
-            let fwd = pipe.gcn.forward_on(&bd.ctx.sym_adj, &x, true, &mut rng);
-            let mut loss = fwd.output.cross_entropy_rows(&bd.labels, &bd.loss_rows);
-            if matches!(ac.clustering, ClusteringMode::GmoC) {
-                let c = head.assign_soft(&fwd.hidden);
-                let gmoc = match &schedule {
-                    Schedule::Shards { .. } => shard_modularity[slot].loss(&c),
-                    Schedule::Sampled { .. } => {
-                        ModularityContext::build(&bd.graph, ac.clusters.max(2)).loss(&c)
-                    }
-                };
-                let gmoc_item = gmoc.item();
-                gmoc_trace.push(gmoc_item);
-                autoac_obs::series("gmoc_loss", epoch as u64, f64::from(gmoc_item));
-                loss = loss.add(&gmoc.scale(ac.lambda));
-            }
-            autoac_check::tape::verify_backward_if_enabled(&loss);
-            loss.backward();
-            let grad_norm = omega_opt.clip_grad_norm(5.0);
-            autoac_obs::series("omega_grad_norm", epoch as u64, f64::from(grad_norm));
-            omega_opt.step();
-
-            // Incremental cluster refresh: only the missing nodes this
-            // batch touched move (full coverage accrues as the schedule
-            // rotates through the graph).
-            if matches!(ac.clustering, ClusteringMode::GmoC) {
-                let _obs_c = autoac_obs::span("cluster");
-                let hm = autoac_tensor::no_grad(|| {
-                    head.assign_hard(&fwd.hidden.gather_rows(&bd.ctx.missing))
-                });
-                for (i, &p) in bd.onehot_rows.iter().enumerate() {
-                    cluster_of[p as usize] = hm[i];
-                }
-            }
-        }
-
-        if let Some(pol) = policy {
-            if pol.should_checkpoint(epoch + 1) {
-                let state = SearchState {
-                    meta: meta.clone(),
-                    epochs_done: (epoch + 1) as u64,
-                    elapsed_seconds: elapsed_prior + start.elapsed().as_secs_f64(),
-                    rng: rng.state(),
-                    alpha: alpha.to_matrix(),
-                    omega: omega.iter().map(Tensor::to_matrix).collect(),
-                    alpha_opt: alpha_opt.export_state(),
-                    omega_opt: omega_opt.export_state(),
-                    cluster_of: cluster_of.clone(),
-                    best_val,
-                    best: best_snapshot.clone(),
-                    gmoc_trace: gmoc_trace.clone(),
-                };
-                save_search_snapshot(pol, epoch + 1, &state.to_snapshot());
-            }
-            pol.throttle();
-        }
-    }
-    let search_seconds = elapsed_prior + start.elapsed().as_secs_f64();
-
-    let (final_alpha, final_clusters) = match best_snapshot {
-        Some((a, c)) => (a, c),
-        None => (alpha.to_matrix(), cluster_of.clone()),
-    };
-    let assignment = derive_assignment(&final_alpha, &final_clusters);
-    let mut op_histogram = [0usize; 4];
-    for a in &assignment {
-        op_histogram[a.index()] += 1;
-    }
-    SearchOutcome {
-        assignment,
-        cluster_of: final_clusters,
-        alpha: final_alpha,
-        search_seconds,
-        gmoc_trace,
-        op_histogram,
-    }
-}
-
-/// Search + minibatch retraining in one call (the bench entry point).
-pub fn run_autoac_classification_minibatch(
-    data: &Dataset,
-    gnn_cfg: &GnnConfig,
-    ac: &AutoAcConfig,
-    mb: &MinibatchConfig,
-    seed: u64,
-) -> crate::search::AutoAcClsRun {
-    let cache = OpCache::new(&data.graph);
-    let search_out = search_minibatch(data, gnn_cfg, ac, mb, seed, &cache, None);
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let pipe = MinibatchPipeline::new_cached(
-        data,
-        gnn_cfg,
-        CompletionMode::Assigned(search_out.assignment.clone()),
-        &cache,
-        &mut rng,
-    );
-    let outcome =
-        train_node_classification_minibatch(&pipe, data, &ac.train, mb, seed ^ 0x7e7e, None);
-    crate::search::AutoAcClsRun { search: search_out, outcome }
+    let batched = Batched { schedule, modularity, clusters, hidden_dim, slot: 0, sampled: None };
+    run_search(batched, ac, meta, &mut rng, policy)
 }
 
 #[cfg(test)]
@@ -998,16 +690,6 @@ mod tests {
             dropout: 0.2,
             ..Default::default()
         }
-    }
-
-    #[test]
-    fn parse_shards_env_is_strict() {
-        assert_eq!(parse_shards_env("4"), Ok(4));
-        assert_eq!(parse_shards_env(" 1 "), Ok(1));
-        assert!(parse_shards_env("").is_err());
-        assert!(parse_shards_env("0").is_err());
-        assert!(parse_shards_env("four").is_err());
-        assert!(parse_shards_env("-2").is_err());
     }
 
     #[test]
@@ -1147,12 +829,18 @@ mod tests {
             ..Default::default()
         };
         let mb = MinibatchConfig { batch_size: 32, fanout: Some(8), ..Default::default() };
-        let run = run_autoac_classification_minibatch(&data, &gnn, &ac, &mb, 2);
+        let cache = OpCache::new(&data.graph);
+        let search = search_minibatch(&data, &gnn, &ac, &mb, 2, &cache, None);
+        let mut rng = StdRng::seed_from_u64(2 ^ 0x5eed);
+        let mode = CompletionMode::Assigned(search.assignment);
+        let pipe = MinibatchPipeline::new_cached(&data, &gnn, mode, &cache, &mut rng);
+        let outcome =
+            train_node_classification_minibatch(&pipe, &data, &ac.train, &mb, 2 ^ 0x7e7e, None);
         let chance = 1.0 / data.num_classes as f64;
         assert!(
-            run.outcome.micro_f1 > chance + 0.1,
+            outcome.micro_f1 > chance + 0.1,
             "micro-f1 {:.3} vs chance {chance:.3}",
-            run.outcome.micro_f1
+            outcome.micro_f1
         );
     }
 }

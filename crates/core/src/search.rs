@@ -5,11 +5,11 @@
 
 use std::time::Instant;
 
-use autoac_ckpt::{CheckpointPolicy, Fingerprint, RunMeta, SearchState};
+use autoac_ckpt::{CheckpointPolicy, CkptError, Fingerprint, RunMeta, SearchState, Snapshot};
 use autoac_completion::{complete_assigned, complete_mixture, CompletionOp};
 use autoac_data::{Dataset, LinkSplit};
 use autoac_graph::OpCache;
-use autoac_nn::GnnConfig;
+use autoac_nn::{Forward, GnnConfig};
 use autoac_tensor::{Adam, AdamConfig, Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,8 +18,8 @@ use crate::cluster::{kmeans, ClusterHead, ModularityContext};
 use crate::pipeline::{Backbone, CompletionMode, ForwardPipe, Pipeline};
 use crate::proximal::{argmax_rows, prox_c1, prox_c2};
 use crate::trainer::{
-    train_link_prediction_checkpointed, train_node_classification_checkpointed, ClsOutcome,
-    LpOutcome, TrainConfig,
+    descend, resume, save_snapshot, train_link_prediction_checkpointed,
+    train_node_classification_checkpointed, ClsOutcome, LpOutcome, RunState, TrainConfig,
 };
 
 /// How `V⁻` nodes are grouped for the completion parameters α.
@@ -213,31 +213,18 @@ pub fn search(
     task: &dyn SearchTask,
     seed: u64,
 ) -> SearchOutcome {
-    search_cached(data, backbone, gnn_cfg, ac, task, seed, &OpCache::new(&data.graph))
+    search_checkpointed(data, backbone, gnn_cfg, ac, task, seed, &OpCache::new(&data.graph), None)
 }
 
 /// [`search`] with an explicit operator cache, so the retraining stage (and
 /// any repeated searches over one dataset) can reuse the normalized CSR
-/// operators the search pipeline already built.
-pub fn search_cached(
-    data: &Dataset,
-    backbone: Backbone,
-    gnn_cfg: &GnnConfig,
-    ac: &AutoAcConfig,
-    task: &dyn SearchTask,
-    seed: u64,
-    cache: &OpCache,
-) -> SearchOutcome {
-    search_checkpointed(data, backbone, gnn_cfg, ac, task, seed, cache, None)
-}
-
-/// [`search_cached`] with crash-safe checkpointing: when a
-/// [`CheckpointPolicy`] is given, the full loop state (ω leaves, both Adam
-/// states, α, cluster assignments, best-so-far tracking, RNG state) is
-/// snapshotted at the policy's cadence, and — if the policy allows resuming
-/// and a readable snapshot exists — the search restarts from it
-/// **bit-identically** to an uninterrupted run. Snapshots from a different
-/// graph, config, or seed are rejected loudly.
+/// operators the search pipeline already built, and with crash-safe
+/// checkpointing: when a [`CheckpointPolicy`] is given, the full loop state
+/// (ω leaves, both Adam states, α, cluster assignments, best-so-far
+/// tracking, RNG state) is snapshotted at the policy's cadence, and — if
+/// the policy allows resuming and a readable snapshot exists — the search
+/// restarts from it **bit-identically** to an uninterrupted run. Snapshots
+/// from a different graph, config, or seed are rejected loudly.
 #[allow(clippy::too_many_arguments)]
 pub fn search_checkpointed(
     data: &Dataset,
@@ -251,19 +238,159 @@ pub fn search_checkpointed(
 ) -> SearchOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let pipe = Pipeline::new_cached(data, backbone, gnn_cfg, CompletionMode::Zero, cache, &mut rng);
-    let n_minus = pipe.ops.ctx().num_missing();
+    let positions = (0..pipe.ops.ctx().num_missing() as u32).collect();
+    let modularity = ModularityContext::build(&data.graph, ac.clusters.max(2));
+    let graph_fp = data.graph.structural_fingerprint();
+    let meta = RunMeta::whole_graph("search", graph_fp, ac.fingerprint(), seed);
+    run_search(WholeGraph { pipe, task, modularity, positions }, ac, meta, &mut rng, policy)
+}
+
+/// How a search forward fills the missing rows of its batch.
+pub(crate) enum Fill {
+    /// Op weights per α row, mixed per node through its cluster.
+    Mixture(Tensor),
+    /// One op per `V⁻` node, in global missing-list order.
+    Assigned(Vec<CompletionOp>),
+}
+
+/// What the search loop ([`run_search`]) needs from the graph it searches
+/// over: the whole graph ([`WholeGraph`]: any backbone, any
+/// [`SearchTask`]) or sampled or sharded batches
+/// (`crate::minibatch::Batched`: GCN, classification).
+pub(crate) trait SearchSchedule {
+    /// `|V⁻|`, the global missing-list length.
+    fn num_missing(&self) -> usize;
+    /// ω leaves except the clustering head, in snapshot order: encoder,
+    /// completion ops, backbone.
+    fn omega(&self) -> Vec<Tensor>;
+    /// Width of the hidden block the clustering head reads.
+    fn hidden_dim(&self, rng: &mut StdRng) -> usize;
+    /// Prepares the batches of `epoch`.
+    fn begin_epoch(&mut self, epoch: usize);
+    /// One training-mode forward over this epoch's α batch (`validation`)
+    /// or ω batch, its missing rows filled per `fill`, with that level's
+    /// loss; `None` when the batch has no rows for the loss.
+    fn forward(
+        &self,
+        validation: bool,
+        fill: Fill,
+        cluster_of: &[u32],
+        rng: &mut StdRng,
+    ) -> Option<(Forward, Tensor)>;
+    /// `L_GmoC` of a soft assignment over this epoch's ω batch.
+    fn modularity_loss(&self, c: &Tensor) -> Tensor;
+    /// Rows of the ω batch's hidden block that hold `V⁻` nodes, and each
+    /// one's position in the global missing list.
+    fn missing_rows(&self) -> (&[u32], &[u32]);
+}
+
+/// The whole-graph schedule: both levels of every epoch run over the full
+/// graph.
+struct WholeGraph<'a> {
+    pipe: Pipeline,
+    task: &'a dyn SearchTask,
+    modularity: ModularityContext,
+    /// `0..N⁻`: every `V⁻` node is in every forward.
+    positions: Vec<u32>,
+}
+
+impl SearchSchedule for WholeGraph<'_> {
+    fn num_missing(&self) -> usize {
+        self.positions.len()
+    }
+
+    fn omega(&self) -> Vec<Tensor> {
+        let mut omega = self.pipe.encoder.params();
+        omega.extend(self.pipe.ops.params());
+        omega.extend(self.pipe.model.params());
+        omega
+    }
+
+    fn hidden_dim(&self, rng: &mut StdRng) -> usize {
+        // Dry forward to size the clustering head.
+        autoac_tensor::no_grad(|| self.pipe.forward(false, rng)).hidden.shape().1
+    }
+
+    fn begin_epoch(&mut self, _epoch: usize) {}
+
+    fn forward(
+        &self,
+        validation: bool,
+        fill: Fill,
+        cluster_of: &[u32],
+        rng: &mut StdRng,
+    ) -> Option<(Forward, Tensor)> {
+        let x0 = self.pipe.x0();
+        let x = match fill {
+            Fill::Mixture(w) => complete_mixture(&self.pipe.ops, &x0, &w.gather_rows(cluster_of)),
+            Fill::Assigned(assignment) => complete_assigned(&self.pipe.ops, &x0, &assignment),
+        };
+        let fwd = self.pipe.model.forward(&x, true, rng);
+        let loss = if validation {
+            self.task.val_loss(&fwd.output, rng)
+        } else {
+            self.task.train_loss(&fwd.output, rng)
+        };
+        Some((fwd, loss))
+    }
+
+    fn modularity_loss(&self, c: &Tensor) -> Tensor {
+        self.modularity.loss(c)
+    }
+
+    fn missing_rows(&self) -> (&[u32], &[u32]) {
+        (&self.pipe.ops.ctx().missing, &self.positions)
+    }
+}
+
+impl RunState for SearchState {
+    const STAGE: &'static str = "search";
+
+    fn encode(&self) -> Snapshot {
+        self.to_snapshot()
+    }
+
+    fn decode(snap: &Snapshot) -> Result<Self, CkptError> {
+        Self::from_snapshot(snap)
+    }
+
+    fn meta(&self) -> &RunMeta {
+        &self.meta
+    }
+
+    fn leaves(&self) -> usize {
+        self.omega.len()
+    }
+}
+
+/// Algorithm 1 over a schedule: per epoch one α step on the validation
+/// loss (after `omega_warmup` epochs), one ω step on the training loss plus
+/// `λ·L_GmoC`, then the cluster refresh. Tracks the best-validation
+/// configuration, records the trajectory series, and snapshots and resumes
+/// under `policy` with identity `meta`. `rng` must be the stream the
+/// schedule was built from: the loop continues it with the α noise, the
+/// clustering head and the initial clusters.
+pub(crate) fn run_search<S: SearchSchedule>(
+    mut s: S,
+    ac: &AutoAcConfig,
+    meta: RunMeta,
+    rng: &mut StdRng,
+    policy: Option<&CheckpointPolicy>,
+) -> SearchOutcome {
+    let n_minus = s.num_missing();
+    let num_ops = CompletionOp::ALL.len();
     if n_minus == 0 {
         return SearchOutcome {
             assignment: Vec::new(),
             cluster_of: Vec::new(),
-            alpha: Matrix::zeros(0, CompletionOp::ALL.len()),
+            alpha: Matrix::zeros(0, num_ops),
             search_seconds: 0.0,
             gmoc_trace: Vec::new(),
             op_histogram: [0; 4],
         };
     }
-    let num_ops = CompletionOp::ALL.len();
     let use_clusters = ac.clustering != ClusteringMode::NoCluster;
+    let gmoc = ac.clustering == ClusteringMode::GmoC;
     let alpha_rows = if use_clusters { ac.clusters } else { n_minus };
 
     // α initialized uniformly inside C₂ with tiny symmetry-breaking noise.
@@ -275,26 +402,16 @@ pub fn search_checkpointed(
     let mut alpha_opt =
         Adam::new(vec![alpha.clone()], AdamConfig::with(ac.alpha_lr, ac.alpha_wd));
 
-    // Dry forward to size the clustering head.
-    let hidden_dim = {
-        let f = autoac_tensor::no_grad(|| pipe.forward(false, &mut rng));
-        f.hidden.shape().1
-    };
-    let head = ClusterHead::new(hidden_dim, ac.clusters.max(2), &mut rng);
-    let modularity = ModularityContext::build(&data.graph, ac.clusters.max(2));
-
+    let head = ClusterHead::new(s.hidden_dim(rng), ac.clusters.max(2), rng);
     // ω: encoder + all op params + backbone + clustering head.
-    let mut omega: Vec<Tensor> = pipe.encoder.params();
-    omega.extend(pipe.ops.params());
-    omega.extend(pipe.model.params());
-    if matches!(ac.clustering, ClusteringMode::GmoC) {
+    let mut omega = s.omega();
+    if gmoc {
         omega.extend(head.params());
     }
     let mut omega_opt =
         Adam::new(omega.clone(), AdamConfig::with(ac.train.lr, ac.train.weight_decay));
 
     // Initial clustering: random (refined during the search).
-    let missing = pipe.ops.ctx().missing.clone();
     let mut cluster_of: Vec<u32> = if use_clusters {
         (0..n_minus).map(|_| rng.gen_range(0..ac.clusters) as u32).collect()
     } else {
@@ -311,75 +428,59 @@ pub fn search_checkpointed(
     // Resume: the setup above re-derived everything deterministic from the
     // seed; a snapshot overwrites the parts that evolved during the
     // interrupted run, restarting the loop at the captured epoch boundary.
-    let meta = RunMeta {
-        kind: "search".into(),
-        graph_fp: data.graph.structural_fingerprint(),
-        config_fp: ac.fingerprint(),
-        seed,
-        segment_fp: 0,
-    };
     let mut start_epoch = 0usize;
     let mut elapsed_prior = 0.0f64;
-    if let Some(pol) = policy {
-        if let Some(state) = resume_search_state(pol, &meta, omega.len()) {
-            alpha.set_value(state.alpha);
-            for (p, m) in omega.iter().zip(state.omega) {
-                p.set_value(m);
-            }
-            alpha_opt.import_state(state.alpha_opt);
-            omega_opt.import_state(state.omega_opt);
-            cluster_of = state.cluster_of;
-            best_val = state.best_val;
-            best_snapshot = state.best;
-            gmoc_trace = state.gmoc_trace;
-            rng = StdRng::from_state(state.rng);
-            start_epoch = state.epochs_done as usize;
-            elapsed_prior = state.elapsed_seconds;
+    if let Some(state) = policy.and_then(|pol| resume::<SearchState>(pol, &meta, omega.len())) {
+        alpha.set_value(state.alpha);
+        for (p, m) in omega.iter().zip(state.omega) {
+            p.set_value(m);
         }
+        alpha_opt.import_state(state.alpha_opt);
+        omega_opt.import_state(state.omega_opt);
+        cluster_of = state.cluster_of;
+        best_val = state.best_val;
+        best_snapshot = state.best;
+        gmoc_trace = state.gmoc_trace;
+        *rng = StdRng::from_state(state.rng);
+        start_epoch = state.epochs_done as usize;
+        elapsed_prior = state.elapsed_seconds;
     }
 
     let start = Instant::now();
     let _obs_search = autoac_obs::span("search");
     for epoch in start_epoch..ac.search_epochs {
         let _obs_epoch = autoac_obs::span("epoch");
+        s.begin_epoch(epoch);
         // ------- Upper level: update α on the validation loss -----------
         alpha_opt.zero_grad();
         omega_opt.zero_grad(); // the α backward also touches ω; discard
         if epoch >= ac.omega_warmup {
             let _obs = autoac_obs::span("alpha");
-            let x0 = pipe.x0();
-            let (weights_tensor, grad_target) = if ac.discrete {
-                // Alg. 1 line 3: discrete ᾱ = prox_C1(α); gradient taken
-                // w.r.t. ᾱ (a fresh leaf), then applied to the continuous α.
-                let abar = Tensor::param(prox_c1(&alpha.value()));
-                (abar.clone(), abar)
-            } else {
-                // Relaxed ablation: softmax mixture, gradient directly on α.
-                (alpha.softmax_rows(), alpha.clone())
-            };
-            let per_node = weights_tensor.gather_rows(&cluster_of);
-            let x = complete_mixture(&pipe.ops, &x0, &per_node);
-            let fwd = pipe.model.forward(&x, true, &mut rng);
-            let loss = task.val_loss(&fwd.output, &mut rng);
-            let val = loss.item();
-            autoac_obs::series("search_val_loss", epoch as u64, val as f64);
-            if val < best_val {
-                best_val = val;
-                best_snapshot = Some((alpha.to_matrix(), cluster_of.clone()));
-            }
-            autoac_check::tape::verify_backward_if_enabled(&loss);
-            loss.backward();
-            if ac.discrete {
-                // `grad_target` is a throwaway proxy leaf: move its gradient
-                // across instead of cloning it.
-                if let Some(g) = grad_target.take_grad() {
+            // Alg. 1 line 3: discrete ᾱ = prox_C1(α); the gradient is taken
+            // w.r.t. ᾱ (a fresh proxy leaf), then applied to the continuous
+            // α. The relaxed ablation mixes softmax(α), gradient directly
+            // on α.
+            let proxy = ac.discrete.then(|| Tensor::param(prox_c1(&alpha.value())));
+            let weights = proxy.clone().unwrap_or_else(|| alpha.softmax_rows());
+            if let Some((_, loss)) = s.forward(true, Fill::Mixture(weights), &cluster_of, rng) {
+                let val = loss.item();
+                autoac_obs::series("search_val_loss", epoch as u64, f64::from(val));
+                if val < best_val {
+                    best_val = val;
+                    best_snapshot = Some((alpha.to_matrix(), cluster_of.clone()));
+                }
+                autoac_check::tape::verify_backward_if_enabled(&loss);
+                loss.backward();
+                // The proxy is a throwaway leaf: move its gradient across
+                // instead of cloning it.
+                if let Some(g) = proxy.and_then(|p| p.take_grad()) {
                     alpha.accum_grad_public_owned(g);
                 }
-            }
-            alpha_opt.step();
-            if ac.discrete {
-                // Alg. 1 line 4: α ← prox_C2(α − ε∇).
-                alpha.update_value(|m| *m = prox_c2(m));
+                alpha_opt.step();
+                if ac.discrete {
+                    // Alg. 1 line 4: α ← prox_C2(α − ε∇).
+                    alpha.update_value(|m| *m = prox_c2(m));
+                }
             }
         }
 
@@ -388,53 +489,48 @@ pub fn search_checkpointed(
         alpha.zero_grad();
         let hidden = {
             let _obs = autoac_obs::span("omega");
-            let x0 = pipe.x0();
-            let x = if ac.discrete {
+            let fill = if ac.discrete {
                 // Alg. 1 lines 5–6: refined discrete choices; only
                 // activated ops are evaluated.
-                let assignment = derive_assignment(&alpha.value(), &cluster_of);
-                complete_assigned(&pipe.ops, &x0, &assignment)
+                Fill::Assigned(derive_assignment(&alpha.value(), &cluster_of))
             } else {
-                let per_node = alpha.softmax_rows().gather_rows(&cluster_of);
-                complete_mixture(&pipe.ops, &x0, &per_node)
+                Fill::Mixture(alpha.softmax_rows())
             };
-            let fwd = pipe.model.forward(&x, true, &mut rng);
-            let mut loss = task.train_loss(&fwd.output, &mut rng);
-            if matches!(ac.clustering, ClusteringMode::GmoC) {
-                let c = head.assign_soft(&fwd.hidden);
-                let gmoc = modularity.loss(&c);
-                let gmoc_item = gmoc.item();
-                gmoc_trace.push(gmoc_item);
-                autoac_obs::series("gmoc_loss", epoch as u64, gmoc_item as f64);
-                loss = loss.add(&gmoc.scale(ac.lambda));
-            }
-            autoac_check::tape::verify_backward_if_enabled(&loss);
-            loss.backward();
-            let grad_norm = omega_opt.clip_grad_norm(5.0);
-            autoac_obs::series("omega_grad_norm", epoch as u64, grad_norm as f64);
-            omega_opt.step();
-            fwd.hidden
+            s.forward(false, fill, &cluster_of, rng).map(|(fwd, mut loss)| {
+                if gmoc {
+                    let c = head.assign_soft(&fwd.hidden);
+                    let l_gmoc = s.modularity_loss(&c);
+                    let gmoc_item = l_gmoc.item();
+                    gmoc_trace.push(gmoc_item);
+                    autoac_obs::series("gmoc_loss", epoch as u64, f64::from(gmoc_item));
+                    loss = loss.add(&l_gmoc.scale(ac.lambda));
+                }
+                let grad_norm = descend(&mut omega_opt, &loss);
+                autoac_obs::series("omega_grad_norm", epoch as u64, f64::from(grad_norm));
+                fwd.hidden
+            })
         };
 
         // ------- Refresh the node → cluster map --------------------------
-        {
+        // Only the `V⁻` nodes of the ω batch move; a batched schedule
+        // reaches full coverage as it rotates through the graph.
+        if let Some(hidden) = hidden {
             let _obs = autoac_obs::span("cluster");
-            match ac.clustering {
+            let (rows, positions) = s.missing_rows();
+            let fresh = match ac.clustering {
                 ClusteringMode::GmoC => {
-                    let hm = autoac_tensor::no_grad(|| {
-                        head.assign_hard(&hidden.gather_rows(&missing))
-                    });
-                    cluster_of = hm;
+                    Some(autoac_tensor::no_grad(|| head.assign_hard(&hidden.gather_rows(rows))))
                 }
-                ClusteringMode::Em => {
-                    cluster_of = kmeans_missing(&hidden, &missing, ac.clusters, &mut rng);
+                ClusteringMode::Em => Some(kmeans_rows(&hidden, rows, ac.clusters, rng)),
+                ClusteringMode::EmWarmup(warmup) if epoch >= warmup => {
+                    Some(kmeans_rows(&hidden, rows, ac.clusters, rng))
                 }
-                ClusteringMode::EmWarmup(warmup) => {
-                    if epoch >= warmup {
-                        cluster_of = kmeans_missing(&hidden, &missing, ac.clusters, &mut rng);
-                    }
+                ClusteringMode::EmWarmup(_) | ClusteringMode::NoCluster => None,
+            };
+            if let Some(fresh) = fresh {
+                for (&p, c) in positions.iter().zip(fresh) {
+                    cluster_of[p as usize] = c;
                 }
-                ClusteringMode::NoCluster => {}
             }
         }
 
@@ -468,91 +564,25 @@ pub fn search_checkpointed(
                     best: best_snapshot.clone(),
                     gmoc_trace: gmoc_trace.clone(),
                 };
-                save_search_snapshot(pol, epoch + 1, &state.to_snapshot());
+                save_snapshot(pol, epoch + 1, &state);
             }
             pol.throttle();
         }
     }
     let search_seconds = elapsed_prior + start.elapsed().as_secs_f64();
 
-    let (final_alpha, final_clusters) = match best_snapshot {
-        Some((a, c)) => (a, c),
-        None => (alpha.to_matrix(), cluster_of.clone()),
-    };
-    let assignment = derive_assignment(&final_alpha, &final_clusters);
+    let (alpha, cluster_of) = best_snapshot.unwrap_or_else(|| (alpha.to_matrix(), cluster_of));
+    let assignment = derive_assignment(&alpha, &cluster_of);
     let mut op_histogram = [0usize; 4];
     for a in &assignment {
         op_histogram[a.index()] += 1;
     }
-    SearchOutcome {
-        assignment,
-        cluster_of: final_clusters,
-        alpha: final_alpha,
-        search_seconds,
-        gmoc_trace,
-        op_histogram,
-    }
+    SearchOutcome { assignment, cluster_of, alpha, search_seconds, gmoc_trace, op_histogram }
 }
 
-/// Loads and validates the latest search snapshot under `pol`, panicking on
-/// identity mismatches (wrong graph/config/seed/segment) and ω-count drift;
-/// returns `None` when there is nothing to resume from. Shared by the
-/// full-batch and minibatch search loops.
-pub(crate) fn resume_search_state(
-    pol: &CheckpointPolicy,
-    expected: &RunMeta,
-    n_omega: usize,
-) -> Option<SearchState> {
-    let resumed = pol
-        .resume_snapshot()
-        .unwrap_or_else(|e| panic!("autoac-ckpt: cannot resume search: {e}"));
-    let (_, snap) = resumed?;
-    let state = SearchState::from_snapshot(&snap)
-        .unwrap_or_else(|e| panic!("autoac-ckpt: invalid search snapshot: {e}"));
-    state
-        .meta
-        .validate(expected)
-        .unwrap_or_else(|e| panic!("autoac-ckpt: {e}"));
-    assert_eq!(
-        state.omega.len(),
-        n_omega,
-        "autoac-ckpt: snapshot has a different ω parameter count"
-    );
-    Some(state)
-}
-
-/// Writes one search snapshot under an obs `ckpt` span, recording the write
-/// latency; a failure is counted and warned about, never fatal.
-pub(crate) fn save_search_snapshot(
-    pol: &CheckpointPolicy,
-    epochs_done: usize,
-    snap: &autoac_ckpt::Snapshot,
-) {
-    let _obs = autoac_obs::span("ckpt");
-    let write_start = Instant::now();
-    match pol.save(epochs_done, snap) {
-        Ok(_) => {
-            autoac_obs::hist_record("ckpt_write_ns", write_start.elapsed().as_nanos() as f64);
-        }
-        Err(e) => {
-            // A failed snapshot must not kill a healthy run, but it must be
-            // visible in the run summary, not just on stderr.
-            autoac_obs::counter_add("ckpt_write_failures", 1);
-            autoac_obs::warn("ckpt", &format!("failed to write search snapshot: {e}"));
-        }
-    }
-}
-
-fn kmeans_missing(
-    hidden: &Tensor,
-    missing: &[u32],
-    k: usize,
-    rng: &mut StdRng,
-) -> Vec<u32> {
-    autoac_tensor::no_grad(|| {
-        let rows = hidden.value().gather_rows(missing);
-        kmeans(&rows, k, 20, rng)
-    })
+/// k-means over the given rows of the hidden block.
+fn kmeans_rows(hidden: &Tensor, rows: &[u32], k: usize, rng: &mut StdRng) -> Vec<u32> {
+    autoac_tensor::no_grad(|| kmeans(&hidden.value().gather_rows(rows), k, 20, rng))
 }
 
 /// Per-row Shannon entropy (nats) of the α matrix, one value per cluster —
@@ -623,38 +653,11 @@ pub fn run_autoac_classification_checkpointed(
     policy: Option<&CheckpointPolicy>,
 ) -> AutoAcClsRun {
     let task = ClassificationTask::new(data);
-    // One cache spans search and retraining: the retrain pipeline's
-    // operators are all hits.
-    let cache = OpCache::new(&data.graph);
-    let search_pol = policy.map(|p| p.substage("search"));
-    let search_out = search_checkpointed(
-        data,
-        backbone,
-        gnn_cfg,
-        ac,
-        &task,
-        seed,
-        &cache,
-        search_pol.as_ref(),
-    );
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let pipe = Pipeline::new_cached(
-        data,
-        backbone,
-        gnn_cfg,
-        CompletionMode::Assigned(search_out.assignment.clone()),
-        &cache,
-        &mut rng,
-    );
-    let retrain_pol = policy.map(|p| p.substage("retrain"));
-    let outcome = train_node_classification_checkpointed(
-        &pipe,
-        data,
-        &ac.train,
-        seed ^ 0x7e7e,
-        retrain_pol.as_ref(),
-    );
-    AutoAcClsRun { search: search_out, outcome }
+    let (search, outcome) =
+        search_then_retrain(data, backbone, gnn_cfg, ac, &task, seed, policy, |pipe, seed, pol| {
+            train_node_classification_checkpointed(pipe, data, &ac.train, seed, pol)
+        });
+    AutoAcClsRun { search, outcome }
 }
 
 /// Search + retrain outcome for link prediction.
@@ -688,36 +691,39 @@ pub fn run_autoac_link_prediction_checkpointed(
     policy: Option<&CheckpointPolicy>,
 ) -> AutoAcLpRun {
     let task = LinkPredictionTask::new(split);
-    let cache = OpCache::new(&split.train_data.graph);
+    let data = &split.train_data;
+    let (search, outcome) =
+        search_then_retrain(data, backbone, gnn_cfg, ac, &task, seed, policy, |pipe, seed, pol| {
+            train_link_prediction_checkpointed(pipe, split, &ac.train, seed, pol)
+        });
+    AutoAcLpRun { search, outcome }
+}
+
+/// The search stage under `<policy>/search`, then `retrain(pipe, seed,
+/// policy)` of a fresh pipeline completing with the searched assignment,
+/// under `<policy>/retrain`. One operator cache spans both stages, so the
+/// retrain pipeline's operators are all hits.
+#[allow(clippy::too_many_arguments)]
+fn search_then_retrain<T>(
+    data: &Dataset,
+    backbone: Backbone,
+    gnn_cfg: &GnnConfig,
+    ac: &AutoAcConfig,
+    task: &dyn SearchTask,
+    seed: u64,
+    policy: Option<&CheckpointPolicy>,
+    retrain: impl FnOnce(&Pipeline, u64, Option<&CheckpointPolicy>) -> T,
+) -> (SearchOutcome, T) {
+    let cache = OpCache::new(&data.graph);
     let search_pol = policy.map(|p| p.substage("search"));
-    let search_out = search_checkpointed(
-        &split.train_data,
-        backbone,
-        gnn_cfg,
-        ac,
-        &task,
-        seed,
-        &cache,
-        search_pol.as_ref(),
-    );
+    let search =
+        search_checkpointed(data, backbone, gnn_cfg, ac, task, seed, &cache, search_pol.as_ref());
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-    let pipe = Pipeline::new_cached(
-        &split.train_data,
-        backbone,
-        gnn_cfg,
-        CompletionMode::Assigned(search_out.assignment.clone()),
-        &cache,
-        &mut rng,
-    );
+    let mode = CompletionMode::Assigned(search.assignment.clone());
+    let pipe = Pipeline::new_cached(data, backbone, gnn_cfg, mode, &cache, &mut rng);
     let retrain_pol = policy.map(|p| p.substage("retrain"));
-    let outcome = train_link_prediction_checkpointed(
-        &pipe,
-        split,
-        &ac.train,
-        seed ^ 0x7e7e,
-        retrain_pol.as_ref(),
-    );
-    AutoAcLpRun { search: search_out, outcome }
+    let outcome = retrain(&pipe, seed ^ 0x7e7e, retrain_pol.as_ref());
+    (search, outcome)
 }
 
 #[cfg(test)]

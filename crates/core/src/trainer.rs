@@ -1,11 +1,13 @@
-//! Generic training loops with early stopping, for node classification and
-//! link prediction, over any [`ForwardPipe`].
+//! The training loop shared by every trainer — Adam, early stopping on a
+//! validation score, best-epoch restore and crash-safe checkpointing — and
+//! its node-classification and link-prediction epochs over any
+//! [`ForwardPipe`].
 
 use std::time::Instant;
 
-use autoac_ckpt::{CheckpointPolicy, Fingerprint, RunMeta, TrainState};
+use autoac_ckpt::{CheckpointPolicy, CkptError, Fingerprint, RunMeta, Snapshot, TrainState};
 use autoac_data::{Dataset, LinkSplit};
-use autoac_eval::{f1_scores, mrr, roc_auc};
+use autoac_eval::{f1_scores, mrr, roc_auc, F1Scores};
 use autoac_tensor::{Adam, AdamConfig, Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,6 +101,184 @@ pub fn restore(params: &[Tensor], snap: &[Matrix]) {
     }
 }
 
+/// The training loop of every trainer. Each epoch `epoch_fn(epoch, opt,
+/// rng)` takes its optimizer steps on `params` and returns the validation
+/// score that early stopping maximizes. Afterwards the best-scoring
+/// parameters are restored; returns `(epochs_run, seconds)`.
+///
+/// With a policy, the full optimization state (parameters, Adam moments,
+/// RNG, early-stopping counters) is snapshotted at epoch boundaries, and a
+/// rerun with the same `meta` resumes bit-identically from the latest good
+/// snapshot. `rng` must be freshly seeded; on resume it is replaced by the
+/// snapshotted stream.
+pub(crate) fn fit(
+    params: &[Tensor],
+    cfg: &TrainConfig,
+    meta: RunMeta,
+    rng: &mut StdRng,
+    policy: Option<&CheckpointPolicy>,
+    mut epoch_fn: impl FnMut(usize, &mut Adam, &mut StdRng) -> f64,
+) -> (usize, f64) {
+    let mut opt = Adam::new(params.to_vec(), AdamConfig::with(cfg.lr, cfg.weight_decay));
+    let mut best_val = f64::NEG_INFINITY;
+    let mut best_snap = snapshot(params);
+    let mut bad_epochs = 0;
+    let mut start_epoch = 0usize;
+    let mut elapsed_prior = 0.0f64;
+    if let Some(state) = policy.and_then(|pol| resume::<TrainState>(pol, &meta, params.len())) {
+        restore(params, &state.params);
+        opt.import_state(state.opt);
+        best_val = state.best_val;
+        best_snap = state.best_snap;
+        bad_epochs = state.bad_epochs as usize;
+        *rng = StdRng::from_state(state.rng);
+        start_epoch = state.epochs_done as usize;
+        elapsed_prior = state.elapsed_seconds;
+    }
+
+    let start = Instant::now();
+    let _obs_train = autoac_obs::span("train");
+    let mut epochs_run = start_epoch;
+    for epoch in start_epoch..cfg.epochs {
+        // The patience check sits at the loop top (rather than breaking
+        // right after the counter update) so the stopping epoch itself gets
+        // checkpointed; `bad_epochs > 0` keeps the control flow identical
+        // even at `patience == 0`, where the original still ran one epoch
+        // before its post-increment check could fire.
+        if bad_epochs > 0 && bad_epochs >= cfg.patience {
+            break;
+        }
+        let _obs_epoch = autoac_obs::span("epoch");
+        epochs_run = epoch + 1;
+        let val = epoch_fn(epoch, &mut opt, rng);
+        if val > best_val {
+            best_val = val;
+            best_snap = snapshot(params);
+            bad_epochs = 0;
+        } else {
+            bad_epochs += 1;
+        }
+
+        if let Some(pol) = policy {
+            if pol.should_checkpoint(epoch + 1) {
+                let state = TrainState {
+                    meta: meta.clone(),
+                    epochs_done: (epoch + 1) as u64,
+                    elapsed_seconds: elapsed_prior + start.elapsed().as_secs_f64(),
+                    rng: rng.state(),
+                    params: snapshot(params),
+                    opt: opt.export_state(),
+                    best_val,
+                    best_snap: best_snap.clone(),
+                    bad_epochs: bad_epochs as u64,
+                };
+                save_snapshot(pol, epoch + 1, &state);
+            }
+            pol.throttle();
+        }
+    }
+    drop(_obs_train);
+    restore(params, &best_snap);
+    (epochs_run, elapsed_prior + start.elapsed().as_secs_f64())
+}
+
+/// One optimizer step on `loss`: verify its tape (when checks are armed),
+/// backpropagate, clip the gradient norm to 5 and step. Returns the norm
+/// before clipping.
+pub(crate) fn descend(opt: &mut Adam, loss: &Tensor) -> f32 {
+    autoac_check::tape::verify_backward_if_enabled(loss);
+    loss.backward();
+    let norm = opt.clip_grad_norm(5.0);
+    opt.step();
+    norm
+}
+
+/// Records an epoch's validation F1 pair and returns the score early
+/// stopping maximizes (Micro-F1).
+pub(crate) fn f1_score(epoch: usize, scores: &F1Scores) -> f64 {
+    if autoac_obs::enabled() {
+        autoac_obs::series("val_micro_f1", epoch as u64, scores.micro_f1);
+        autoac_obs::series("val_macro_f1", epoch as u64, scores.macro_f1);
+    }
+    scores.micro_f1
+}
+
+/// A loop state the checkpoint helpers write and resume: training
+/// ([`TrainState`]) or search ([`autoac_ckpt::SearchState`]).
+pub(crate) trait RunState: Sized {
+    /// Stage name for error messages.
+    const STAGE: &'static str;
+    /// Serializes into a snapshot container.
+    fn encode(&self) -> Snapshot;
+    /// Deserializes from a snapshot container.
+    fn decode(snap: &Snapshot) -> Result<Self, CkptError>;
+    /// The run identity the snapshot was written under.
+    fn meta(&self) -> &RunMeta;
+    /// Parameter leaves the snapshot carries.
+    fn leaves(&self) -> usize;
+}
+
+impl RunState for TrainState {
+    const STAGE: &'static str = "training";
+
+    fn encode(&self) -> Snapshot {
+        self.to_snapshot()
+    }
+
+    fn decode(snap: &Snapshot) -> Result<Self, CkptError> {
+        Self::from_snapshot(snap)
+    }
+
+    fn meta(&self) -> &RunMeta {
+        &self.meta
+    }
+
+    fn leaves(&self) -> usize {
+        self.params.len()
+    }
+}
+
+/// Writes one snapshot under an obs `ckpt` span, recording the write
+/// latency; a failure is counted and warned about (visible in the run
+/// summary), never fatal — a failed snapshot must not kill a healthy run.
+pub(crate) fn save_snapshot<S: RunState>(pol: &CheckpointPolicy, epochs_done: usize, state: &S) {
+    let _obs = autoac_obs::span("ckpt");
+    let write_start = Instant::now();
+    match pol.save(epochs_done, &state.encode()) {
+        Ok(_) => {
+            autoac_obs::hist_record("ckpt_write_ns", write_start.elapsed().as_nanos() as f64);
+        }
+        Err(e) => {
+            autoac_obs::counter_add("ckpt_write_failures", 1);
+            autoac_obs::warn("ckpt", &format!("failed to write {} snapshot: {e}", S::STAGE));
+        }
+    }
+}
+
+/// Loads and validates the latest snapshot under `pol`, panicking on
+/// identity mismatches (wrong graph/config/seed/segment) and on
+/// parameter-count drift; returns `None` when there is nothing to resume
+/// from.
+pub(crate) fn resume<S: RunState>(
+    pol: &CheckpointPolicy,
+    expected: &RunMeta,
+    leaves: usize,
+) -> Option<S> {
+    let resumed = pol
+        .resume_snapshot()
+        .unwrap_or_else(|e| panic!("autoac-ckpt: cannot resume {}: {e}", S::STAGE));
+    let (_, snap) = resumed?;
+    let state = S::decode(&snap)
+        .unwrap_or_else(|e| panic!("autoac-ckpt: invalid {} snapshot: {e}", S::STAGE));
+    state.meta().validate(expected).unwrap_or_else(|e| panic!("autoac-ckpt: {e}"));
+    assert_eq!(
+        state.leaves(),
+        leaves,
+        "autoac-ckpt: snapshot has a different parameter count"
+    );
+    Some(state)
+}
+
 /// Trains a pipeline for node classification and evaluates on the test
 /// split. Early stops on validation Micro-F1.
 pub fn train_node_classification(
@@ -125,145 +305,21 @@ pub fn train_node_classification_checkpointed(
     assert!(data.num_classes > 0, "dataset has no classification task");
     let mut rng = StdRng::seed_from_u64(seed);
     let labels = data.global_labels();
-    let params = pipe.params();
-    let mut opt = Adam::new(params.clone(), AdamConfig::with(cfg.lr, cfg.weight_decay));
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_snap = snapshot(&params);
-    let mut bad_epochs = 0;
-
-    let meta = RunMeta {
-        kind: "train-cls".into(),
-        graph_fp: data.graph.structural_fingerprint(),
-        config_fp: cfg.fingerprint(),
-        seed,
-        segment_fp: 0,
-    };
-    let mut start_epoch = 0usize;
-    let mut elapsed_prior = 0.0f64;
-    if let Some(pol) = policy {
-        if let Some(state) = resume_train_state(pol, &meta, params.len()) {
-            restore(&params, &state.params);
-            opt.import_state(state.opt);
-            best_val = state.best_val;
-            best_snap = state.best_snap;
-            bad_epochs = state.bad_epochs as usize;
-            rng = StdRng::from_state(state.rng);
-            start_epoch = state.epochs_done as usize;
-            elapsed_prior = state.elapsed_seconds;
-        }
-    }
-
-    let start = Instant::now();
-    let _obs_train = autoac_obs::span("train");
-    let mut epochs_run = start_epoch;
-    for epoch in start_epoch..cfg.epochs {
-        // The patience check sits at the loop top (rather than breaking
-        // right after the counter update) so the stopping epoch itself gets
-        // checkpointed; `bad_epochs > 0` keeps the control flow identical
-        // even at `patience == 0`, where the original still ran one epoch
-        // before its post-increment check could fire.
-        if bad_epochs > 0 && bad_epochs >= cfg.patience {
-            break;
-        }
-        let _obs_epoch = autoac_obs::span("epoch");
-        epochs_run = epoch + 1;
+    let graph_fp = data.graph.structural_fingerprint();
+    let meta = RunMeta::whole_graph("train-cls", graph_fp, cfg.fingerprint(), seed);
+    let (epochs_run, seconds) = fit(&pipe.params(), cfg, meta, &mut rng, policy, |epoch, opt, rng| {
         opt.zero_grad();
-        let fwd = pipe.forward(true, &mut rng);
+        let fwd = pipe.forward(true, rng);
         let loss = fwd.output.cross_entropy_rows(&labels, &data.split.train);
-        autoac_check::tape::verify_backward_if_enabled(&loss);
         if autoac_obs::enabled() {
             // item() re-reads the already-computed scalar; no extra math.
             autoac_obs::series("train_loss", epoch as u64, f64::from(loss.item()));
         }
-        loss.backward();
-        opt.clip_grad_norm(5.0);
-        opt.step();
-
-        let scores = eval_classification(pipe, data, &data.split.val, &mut rng);
-        if autoac_obs::enabled() {
-            autoac_obs::series("val_micro_f1", epoch as u64, scores.micro_f1);
-            autoac_obs::series("val_macro_f1", epoch as u64, scores.macro_f1);
-        }
-        let val = scores.micro_f1;
-        if val > best_val {
-            best_val = val;
-            best_snap = snapshot(&params);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-        }
-
-        if let Some(pol) = policy {
-            if pol.should_checkpoint(epoch + 1) {
-                let state = TrainState {
-                    meta: meta.clone(),
-                    epochs_done: (epoch + 1) as u64,
-                    elapsed_seconds: elapsed_prior + start.elapsed().as_secs_f64(),
-                    rng: rng.state(),
-                    params: snapshot(&params),
-                    opt: opt.export_state(),
-                    best_val,
-                    best_snap: best_snap.clone(),
-                    bad_epochs: bad_epochs as u64,
-                };
-                save_train_snapshot(pol, epoch + 1, &state.to_snapshot());
-            }
-            pol.throttle();
-        }
-    }
-    drop(_obs_train);
-    restore(&params, &best_snap);
-    let seconds = elapsed_prior + start.elapsed().as_secs_f64();
+        descend(opt, &loss);
+        f1_score(epoch, &eval_classification(pipe, data, &data.split.val, rng))
+    });
     let test = eval_classification(pipe, data, &data.split.test, &mut rng);
     ClsOutcome { macro_f1: test.macro_f1, micro_f1: test.micro_f1, seconds, epochs_run }
-}
-
-/// Writes one training snapshot under an obs `ckpt` span, recording the
-/// write latency; a failure is counted and warned about (visible in the
-/// run summary), never fatal — a failed snapshot must not kill a healthy
-/// run.
-pub(crate) fn save_train_snapshot(
-    pol: &CheckpointPolicy,
-    epochs_done: usize,
-    snap: &autoac_ckpt::Snapshot,
-) {
-    let _obs = autoac_obs::span("ckpt");
-    let write_start = Instant::now();
-    match pol.save(epochs_done, snap) {
-        Ok(_) => {
-            autoac_obs::hist_record("ckpt_write_ns", write_start.elapsed().as_nanos() as f64);
-        }
-        Err(e) => {
-            autoac_obs::counter_add("ckpt_write_failures", 1);
-            autoac_obs::warn("ckpt", &format!("failed to write training snapshot: {e}"));
-        }
-    }
-}
-
-/// Loads and validates the latest training snapshot under `pol`, panicking
-/// on identity mismatches (wrong graph/config/seed) and on parameter-count
-/// drift; returns `None` when there is nothing to resume from.
-pub(crate) fn resume_train_state(
-    pol: &CheckpointPolicy,
-    expected: &RunMeta,
-    n_params: usize,
-) -> Option<TrainState> {
-    let resumed = pol
-        .resume_snapshot()
-        .unwrap_or_else(|e| panic!("autoac-ckpt: cannot resume training: {e}"));
-    let (_, snap) = resumed?;
-    let state = TrainState::from_snapshot(&snap)
-        .unwrap_or_else(|e| panic!("autoac-ckpt: invalid training snapshot: {e}"));
-    state
-        .meta
-        .validate(expected)
-        .unwrap_or_else(|e| panic!("autoac-ckpt: {e}"));
-    assert_eq!(
-        state.params.len(),
-        n_params,
-        "autoac-ckpt: snapshot has a different parameter count"
-    );
-    Some(state)
 }
 
 /// Evaluates classification F1 on a node subset.
@@ -272,7 +328,7 @@ pub fn eval_classification(
     data: &Dataset,
     nodes: &[u32],
     rng: &mut StdRng,
-) -> autoac_eval::F1Scores {
+) -> F1Scores {
     autoac_tensor::no_grad(|| {
         let fwd = pipe.forward(false, rng);
         let out = fwd.output.value();
@@ -320,95 +376,28 @@ pub fn train_link_prediction_checkpointed(
     let val_neg =
         autoac_data::sample_train_negatives(data, split.edge_type, val_pos.len(), &mut rng);
 
-    let params = pipe.params();
-    let mut opt = Adam::new(params.clone(), AdamConfig::with(cfg.lr, cfg.weight_decay));
-    let mut best_val = f64::NEG_INFINITY;
-    let mut best_snap = snapshot(&params);
-    let mut bad_epochs = 0;
-
-    let meta = RunMeta {
-        kind: "train-lp".into(),
-        graph_fp: data.graph.structural_fingerprint(),
-        config_fp: cfg.fingerprint(),
-        seed,
-        segment_fp: 0,
-    };
-    let mut start_epoch = 0usize;
-    let mut elapsed_prior = 0.0f64;
-    if let Some(pol) = policy {
-        if let Some(state) = resume_train_state(pol, &meta, params.len()) {
-            restore(&params, &state.params);
-            opt.import_state(state.opt);
-            best_val = state.best_val;
-            best_snap = state.best_snap;
-            bad_epochs = state.bad_epochs as usize;
-            rng = StdRng::from_state(state.rng);
-            start_epoch = state.epochs_done as usize;
-            elapsed_prior = state.elapsed_seconds;
-        }
-    }
-
-    let start = Instant::now();
-    let _obs_train = autoac_obs::span("train");
-    let mut epochs_run = start_epoch;
-    for epoch in start_epoch..cfg.epochs {
-        // Same top-of-loop patience check as the classification trainer, so
-        // the stopping epoch itself is checkpointable.
-        if bad_epochs > 0 && bad_epochs >= cfg.patience {
-            break;
-        }
-        let _obs_epoch = autoac_obs::span("epoch");
-        epochs_run = epoch + 1;
+    let graph_fp = data.graph.structural_fingerprint();
+    let meta = RunMeta::whole_graph("train-lp", graph_fp, cfg.fingerprint(), seed);
+    let (epochs_run, seconds) = fit(&pipe.params(), cfg, meta, &mut rng, policy, |epoch, opt, rng| {
         let negs = autoac_data::sample_train_negatives(
             data,
             split.edge_type,
             train_pos.len(),
-            &mut rng,
+            rng,
         );
         opt.zero_grad();
-        let fwd = pipe.forward(true, &mut rng);
+        let fwd = pipe.forward(true, rng);
         let loss = autoac_nn::lp::lp_loss(&fwd.output, train_pos, &negs);
-        autoac_check::tape::verify_backward_if_enabled(&loss);
         if autoac_obs::enabled() {
             autoac_obs::series("train_loss", epoch as u64, f64::from(loss.item()));
         }
-        loss.backward();
-        opt.clip_grad_norm(5.0);
-        opt.step();
-
-        let val = eval_link_prediction(pipe, val_pos, &val_neg, &mut rng).0;
+        descend(opt, &loss);
+        let val = eval_link_prediction(pipe, val_pos, &val_neg, rng).0;
         if autoac_obs::enabled() {
             autoac_obs::series("val_auc", epoch as u64, val);
         }
-        if val > best_val {
-            best_val = val;
-            best_snap = snapshot(&params);
-            bad_epochs = 0;
-        } else {
-            bad_epochs += 1;
-        }
-
-        if let Some(pol) = policy {
-            if pol.should_checkpoint(epoch + 1) {
-                let state = TrainState {
-                    meta: meta.clone(),
-                    epochs_done: (epoch + 1) as u64,
-                    elapsed_seconds: elapsed_prior + start.elapsed().as_secs_f64(),
-                    rng: rng.state(),
-                    params: snapshot(&params),
-                    opt: opt.export_state(),
-                    best_val,
-                    best_snap: best_snap.clone(),
-                    bad_epochs: bad_epochs as u64,
-                };
-                save_train_snapshot(pol, epoch + 1, &state.to_snapshot());
-            }
-            pol.throttle();
-        }
-    }
-    drop(_obs_train);
-    restore(&params, &best_snap);
-    let seconds = elapsed_prior + start.elapsed().as_secs_f64();
+        val
+    });
     let (auc, m) = eval_link_prediction(pipe, &split.test_pos, &split.test_neg, &mut rng);
     LpOutcome { roc_auc: auc, mrr: m, seconds, epochs_run }
 }

@@ -12,10 +12,13 @@
 use std::path::PathBuf;
 
 use autoac_ckpt::{CheckpointPolicy, CkptError, Snapshot};
+use autoac_completion::CompletionOp;
 use autoac_core::{
     run_autoac_classification, run_autoac_classification_checkpointed, search_checkpointed,
-    train_node_classification, train_node_classification_checkpointed, AutoAcConfig, Backbone,
-    ClassificationTask, ClusteringMode, CompletionMode, Pipeline, SearchOutcome, TrainConfig,
+    search_minibatch, train_node_classification, train_node_classification_checkpointed,
+    train_node_classification_minibatch, AutoAcConfig, Backbone, ClassificationTask, ClsOutcome,
+    ClusteringMode, CompletionMode, MinibatchConfig, MinibatchPipeline, Pipeline, SearchOutcome,
+    TrainConfig,
 };
 use autoac_data::{presets, synth, Dataset};
 use autoac_graph::OpCache;
@@ -225,4 +228,84 @@ fn full_run_killed_mid_search_resumes_to_identical_metrics() {
     );
     assert_eq!(baseline.outcome.epochs_run, resumed.outcome.epochs_run);
     std::fs::remove_dir_all(&root).unwrap();
+}
+
+/// The two batched schedules: neighbor-sampled and sharded.
+fn minibatch_configs() -> [(&'static str, MinibatchConfig); 2] {
+    [
+        ("sampled", MinibatchConfig { batch_size: 24, fanout: Some(5), ..Default::default() }),
+        ("sharded", MinibatchConfig { shards: 3, ..Default::default() }),
+    ]
+}
+
+fn run_search_minibatch(
+    data: &Dataset,
+    mb: &MinibatchConfig,
+    epochs: usize,
+    policy: Option<&CheckpointPolicy>,
+) -> SearchOutcome {
+    let cfg = small_cfg(data);
+    let mut ac = small_ac();
+    ac.search_epochs = epochs;
+    let cache = OpCache::new(&data.graph);
+    search_minibatch(data, &cfg, &ac, mb, SEED, &cache, policy)
+}
+
+fn train_minibatch(
+    data: &Dataset,
+    mb: &MinibatchConfig,
+    epochs: usize,
+    policy: Option<&CheckpointPolicy>,
+) -> ClsOutcome {
+    let cfg = small_cfg(data);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mode = CompletionMode::Single(CompletionOp::Mean);
+    let pipe = MinibatchPipeline::new(data, &cfg, mode, &mut rng);
+    let tc = TrainConfig { epochs, patience: 10, ..Default::default() };
+    train_node_classification_minibatch(&pipe, data, &tc, mb, SEED, policy)
+}
+
+#[test]
+fn killed_minibatch_search_resumes_bit_identically() {
+    let data = tiny_imdb();
+    for (name, mb) in minibatch_configs() {
+        let baseline = run_search_minibatch(&data, &mb, 8, None);
+        let root = ckpt_root(&format!("search-mb-{name}"));
+        let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+        run_search_minibatch(&data, &mb, 5, Some(&policy));
+        let resumed = run_search_minibatch(&data, &mb, 8, Some(&policy));
+        assert_search_identical(&baseline, &resumed);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+#[test]
+fn killed_minibatch_training_resumes_bit_identically() {
+    let data = tiny_imdb();
+    for (name, mb) in minibatch_configs() {
+        let baseline = train_minibatch(&data, &mb, 10, None);
+        let root = ckpt_root(&format!("train-mb-{name}"));
+        let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+        train_minibatch(&data, &mb, 6, Some(&policy));
+        let resumed = train_minibatch(&data, &mb, 10, Some(&policy));
+        assert_eq!(baseline.macro_f1.to_bits(), resumed.macro_f1.to_bits(), "{name}: Macro-F1");
+        assert_eq!(baseline.micro_f1.to_bits(), resumed.micro_f1.to_bits(), "{name}: Micro-F1");
+        assert_eq!(baseline.epochs_run, resumed.epochs_run, "{name}: epochs run");
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+}
+
+#[test]
+#[should_panic(expected = "refusing to resume: snapshot segment fingerprint")]
+fn resuming_with_a_different_shard_count_fails_loudly() {
+    let data = tiny_imdb();
+    let root = ckpt_root("shard-count");
+    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let three = MinibatchConfig { shards: 3, ..Default::default() };
+    run_search_minibatch(&data, &three, 5, Some(&policy));
+
+    // Same graph, config and seed, but the snapshots belong to a 3-shard
+    // schedule: a 4-shard rerun must refuse them.
+    let four = MinibatchConfig { shards: 4, ..three };
+    run_search_minibatch(&data, &four, 8, Some(&policy));
 }

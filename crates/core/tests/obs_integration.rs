@@ -8,9 +8,11 @@
 //! sequential body keeps the two runs and the report inspection ordered.
 
 use autoac_core::{
-    run_autoac_classification, AutoAcConfig, Backbone, TrainConfig,
+    run_autoac_classification, search_minibatch, AutoAcConfig, Backbone, MinibatchConfig,
+    TrainConfig,
 };
 use autoac_data::{presets, synth, Dataset, Scale};
+use autoac_graph::OpCache;
 use autoac_nn::GnnConfig;
 
 fn tiny(seed: u64) -> Dataset {
@@ -91,19 +93,22 @@ fn obs_on_run_is_bitwise_identical_and_fully_exported() {
     assert!(rep.spans.iter().all(|s| s.self_ns <= s.total_ns));
 
     // (b) Trajectory series: the Fig. 4/5 recorder ran every epoch.
-    let series_count = |name: &str| {
+    let series_count = |rep: &autoac_obs::ObsReport, name: &str| {
         rep.events
             .iter()
             .filter(|e| matches!(e, autoac_obs::Event::Series { name: n, .. } if *n == name))
             .count()
     };
-    assert_eq!(series_count("alpha_entropy"), ac.search_epochs);
-    assert_eq!(series_count("pool_hit_rate"), ac.search_epochs);
-    assert_eq!(series_count("search_val_loss"), ac.search_epochs - ac.omega_warmup);
-    assert_eq!(series_count("omega_grad_norm"), ac.search_epochs);
-    assert_eq!(series_count("gmoc_loss"), ac.search_epochs);
-    assert!(series_count("train_loss") >= 1, "retrain loss series missing");
-    assert!(series_count("val_micro_f1") >= 1 && series_count("val_macro_f1") >= 1);
+    let assert_search_series = |rep: &autoac_obs::ObsReport| {
+        assert_eq!(series_count(rep, "alpha_entropy"), ac.search_epochs);
+        assert_eq!(series_count(rep, "pool_hit_rate"), ac.search_epochs);
+        assert_eq!(series_count(rep, "search_val_loss"), ac.search_epochs - ac.omega_warmup);
+        assert_eq!(series_count(rep, "omega_grad_norm"), ac.search_epochs);
+        assert_eq!(series_count(rep, "gmoc_loss"), ac.search_epochs);
+    };
+    assert_search_series(&rep);
+    assert!(series_count(&rep, "train_loss") >= 1, "retrain loss series missing");
+    assert!(series_count(&rep, "val_micro_f1") >= 1 && series_count(&rep, "val_macro_f1") >= 1);
     // α entropy carries one value per cluster.
     let ent_width = rep
         .events
@@ -147,4 +152,13 @@ fn obs_on_run_is_bitwise_identical_and_fully_exported() {
         assert!(types_seen.contains(required), "no {required} records in {path:?}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+
+    // The sampled search runs on the same search loop, so it records the
+    // same per-epoch trajectory series.
+    let mb = MinibatchConfig { batch_size: 24, fanout: Some(5), ..Default::default() };
+    let cache = OpCache::new(&data.graph);
+    let _ = autoac_obs::drain();
+    autoac_obs::with_obs(true, || search_minibatch(&data, &gnn_cfg, &ac, &mb, SEED, &cache, None));
+    let rep = autoac_obs::drain();
+    assert_search_series(&rep);
 }
