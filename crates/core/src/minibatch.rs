@@ -148,7 +148,7 @@ struct BatchData {
 /// backbone whose layer stack is defined over an arbitrary normalized
 /// adjacency); construction consumes RNG draws exactly like
 /// [`Pipeline::new_cached`](crate::pipeline::Pipeline::new_cached) with
-/// [`Backbone::Gcn`](crate::pipeline::Backbone::Gcn), so a same-seed
+/// [`Backbone::Gcn`], so a same-seed
 /// [`MinibatchPipeline`] and `Pipeline` hold bitwise-identical parameters.
 pub struct MinibatchPipeline {
     /// Per-type input projections.
@@ -621,11 +621,10 @@ impl SearchSchedule for Batched<'_> {
     }
 }
 
-/// Minibatch AutoAC search (classification) on the one search loop. Full-
-/// batch configs route to the whole-graph
-/// [`search_checkpointed`](crate::search::search_checkpointed); minibatch
-/// configs run one α step (on a val-cored batch) and one ω step (on a
-/// train-cored batch) per epoch, rotating through the schedule.
+/// Minibatch AutoAC search (classification) on the one search loop.
+/// Full-batch configs route to the whole-graph [`search_checkpointed`];
+/// minibatch configs run one α step (on a val-cored batch) and one ω step
+/// (on a train-cored batch) per epoch, rotating through the schedule.
 ///
 /// Supported clustering modes: [`ClusteringMode::GmoC`] (modularity built
 /// over the batch subgraph; cluster ids refreshed incrementally for the
