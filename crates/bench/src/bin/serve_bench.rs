@@ -13,8 +13,10 @@
 //! **External driver (`--connect HOST:PORT`)** — drives an already
 //! running `autoac_serve` process with the same closed-loop load, checks
 //! `/healthz`, validates that `/metrics` parses as Prometheus exposition
-//! text, prints the response digest (so `scripts/verify.sh` can diff a
-//! batched against an unbatched server), and optionally issues a graceful
+//! text and counts exactly one served forward (the daemon loads one
+//! checkpoint and never reloads, so the load itself must run none),
+//! prints the response digest (so `scripts/verify.sh` can diff a batched
+//! against an unbatched server), and optionally issues a graceful
 //! `POST /admin/shutdown` (`--shutdown`).
 //!
 //! ```text
@@ -310,7 +312,11 @@ fn drive_external(addr: &str, clients: usize, requests: usize, shutdown: bool) {
         text.contains("autoac_serve_requests_total"),
         "serving counters must be exported"
     );
-    println!("metrics: ok ({series} series)");
+    assert!(
+        text.lines().any(|l| l == "autoac_serve_forward_ns_count 1"),
+        "one checkpoint loaded, so exactly one served forward:\n{text}"
+    );
+    println!("metrics: ok ({series} series, 1 forward)");
 
     // The observability surface of a live server: SLO status and the
     // retained slowest-request timelines must both be well-formed JSON.
@@ -359,7 +365,7 @@ fn ab_benchmark(out_path: &PathBuf, clients: usize, requests: usize, smoke: bool
         srv.stop();
         // Server-side batch statistics share the registry with the client
         // latency histogram, so they come out of the phase's own report.
-        let forwards = stats.report.counter("serve_batches_total");
+        let batches = stats.report.counter("serve_batches_total");
         let mean_batch = stats
             .report
             .hists
@@ -368,16 +374,16 @@ fn ab_benchmark(out_path: &PathBuf, clients: usize, requests: usize, smoke: bool
             .map_or(f64::NAN, |h| h.sum / h.count as f64);
         println!(
             "  batching={batching:<5} {:>7.0} req/s  p50 {:>6.0}us  p99 {:>6.0}us  \
-             {forwards} forwards, mean batch {mean_batch:.2}",
+             {batches} batches, mean batch {mean_batch:.2}",
             stats.total_requests as f64 / stats.wall_secs,
             stats.p50_us,
             stats.p99_us,
         );
-        phases.push((batching, stats, forwards, mean_batch));
+        phases.push((batching, stats, batches, mean_batch));
     }
 
-    let (_, on, on_fwd, on_mean) = &phases[0];
-    let (_, off, off_fwd, off_mean) = &phases[1];
+    let (_, on, on_batches, on_mean) = &phases[0];
+    let (_, off, off_batches, off_mean) = &phases[1];
     assert_eq!(
         on.canon, off.canon,
         "batched responses must be bitwise identical to single-request responses"
@@ -407,10 +413,10 @@ fn ab_benchmark(out_path: &PathBuf, clients: usize, requests: usize, smoke: bool
          \"clients\": {clients},\n  \"requests_per_client\": {requests},\n  \
          \"batching_on\": {{\n    \"throughput_rps\": {rps_on:.1},\n    \
          \"p50_us\": {:.1},\n    \"p99_us\": {:.1},\n    {},\n    \
-         \"forwards\": {on_fwd},\n    \"mean_batch\": {on_mean:.2}\n  }},\n  \
+         \"batches\": {on_batches},\n    \"mean_batch\": {on_mean:.2}\n  }},\n  \
          \"batching_off\": {{\n    \"throughput_rps\": {rps_off:.1},\n    \
          \"p50_us\": {:.1},\n    \"p99_us\": {:.1},\n    {},\n    \
-         \"forwards\": {off_fwd},\n    \"mean_batch\": {off_mean:.2}\n  }},\n  \
+         \"batches\": {off_batches},\n    \"mean_batch\": {off_mean:.2}\n  }},\n  \
          \"throughput_speedup\": {:.2},\n  \
          \"digest\": \"{:016x}\",\n  \"bitwise_identical\": true\n}}\n",
         spec.preset,

@@ -64,9 +64,9 @@ pub struct ServeState {
     /// construction; replaying it reproduces construction-time sampling
     /// (parameter init) exactly.
     pub ctor_rng: [u64; 4],
-    /// Seed for the per-batch inference RNG. Every batched forward reseeds
-    /// from this value, which is what makes responses independent of batch
-    /// composition (the serving determinism contract).
+    /// Seed for the inference RNG. The served forward reseeds from this
+    /// value, which is what makes logits a pure function of (checkpoint,
+    /// node id) (the serving determinism contract).
     pub infer_seed: u64,
     /// Trained parameter leaves, in `ForwardPipe::params` order.
     pub params: Vec<Matrix>,

@@ -8,9 +8,10 @@
 //! dataset from its recipe, replaying the recorded construction RNG so
 //! parameter shapes come out identical, restoring the trained leaves —
 //! and then **materializes the completed attributes once**. After load,
-//! every query batch is a single backbone forward from that fixed input
-//! under [`no_grad`], with a fresh RNG seeded from the checkpoint's
-//! `infer_seed`.
+//! [`InferenceModel::logits`] is a single backbone forward from that fixed
+//! input under [`no_grad`], with a fresh RNG seeded from the checkpoint's
+//! `infer_seed`. `autoac-serve` calls it once per loaded checkpoint and
+//! answers every query by copying rows out of the result.
 //!
 //! That reseeding is the serving determinism contract: logits depend only
 //! on (checkpoint, node id), never on batch composition or request order,

@@ -1,12 +1,18 @@
-//! The model thread: adaptive micro-batching over one inference model.
+//! The model thread: adaptive micro-batching over the resident logits.
 //!
 //! Workers enqueue [`Job`]s over an mpsc channel; this thread coalesces
-//! concurrent classify requests into one batch and answers them all from
-//! a *single* full-graph forward. Because the forward reads only the
-//! materialized attribute block and reseeds its RNG per call (see
-//! `autoac_core::infer`), the logits a request receives are bitwise
-//! independent of which other requests shared its batch — batching is
-//! purely a throughput lever, never an accuracy or determinism trade.
+//! concurrent classify requests into one batch and answers each member
+//! by copying its rows out of the logits block the
+//! [`ModelHost`](crate::host::ModelHost) computed when the checkpoint was
+//! loaded. No forward runs per batch: the checkpoint's one forward read
+//! only the materialized attribute block under a fixed `infer_seed` (see
+//! `autoac_core::infer`), so the rows a request receives are bitwise
+//! independent of which other requests shared its batch.
+//!
+//! With no forward left to share, batching only coalesces row copies and
+//! saves no work (DESIGN.md §10 has the numbers). The queue stays for now
+//! because the `serve-open` benchmark workload configures batching and
+//! reads its counters and stage gauges (ROADMAP item 4).
 //!
 //! ## Flush policy
 //!
@@ -32,9 +38,9 @@ use crate::host::{ModelHost, ViewSlot};
 /// Micro-batching knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchConfig {
-    /// When false, every request runs its own forward (the A/B baseline).
+    /// When false, every request is its own batch (the A/B baseline).
     pub batching: bool,
-    /// Maximum classify jobs coalesced into one forward.
+    /// Maximum classify jobs coalesced into one batch.
     pub batch_max: usize,
     /// Upper bound on the flush window, in microseconds.
     pub flush_us: u64,
@@ -77,11 +83,12 @@ pub struct ClassifyReply {
 pub struct JobTiming {
     /// Enqueue → dequeued by the model thread (channel wait).
     pub queue_ns: u64,
-    /// Dequeued → batch forward started (coalescing wait).
+    /// Dequeued → the batch's row copies started (coalescing wait).
     pub batch_wait_ns: u64,
-    /// The batch's single forward, attributed whole to every member.
+    /// Copying every member's rows out of the logits block, attributed
+    /// whole to every member.
     pub compute_ns: u64,
-    /// How many classify jobs shared the forward.
+    /// How many classify jobs shared the batch.
     pub batch_size: usize,
 }
 
@@ -95,8 +102,6 @@ pub enum Job {
         nodes: Vec<usize>,
         /// Where the (single) reply goes.
         reply: Sender<ClassifyReply>,
-        /// Originating request's trace id (0 = untraced).
-        trace_id: u64,
         /// `autoac_obs::now_ns()` at enqueue, for queue-wait attribution.
         enqueued_ns: u64,
     },
@@ -110,10 +115,11 @@ pub enum Job {
 }
 
 /// Body of the model thread. Builds the host in-thread (the pipeline is
-/// not `Send`), reports readiness through `ready`, then serves jobs until
-/// every [`Job`] sender is dropped — which is the graceful-shutdown
-/// signal: the channel only disconnects after all workers have finished
-/// their final requests, so nothing in flight is ever dropped.
+/// not `Send`), which runs the checkpoint's forward before readiness is
+/// reported through `ready`, then serves jobs until every [`Job`] sender
+/// is dropped — which is the graceful-shutdown signal: the channel only
+/// disconnects after all workers have finished their final requests, so
+/// nothing in flight is ever dropped.
 pub fn run_model_thread(
     state: ServeState,
     cfg: BatchConfig,
@@ -142,15 +148,14 @@ pub fn run_model_thread(
         struct Pending {
             nodes: Vec<usize>,
             reply: Sender<ClassifyReply>,
-            trace_id: u64,
             enqueued_ns: u64,
             dequeued_ns: u64,
         }
         let mut batch: Vec<Pending> = Vec::new();
         let mut admin = Vec::new();
         match first {
-            Job::Classify { nodes, reply, trace_id, enqueued_ns } => {
-                batch.push(Pending { nodes, reply, trace_id, enqueued_ns, dequeued_ns: now_ns() })
+            Job::Classify { nodes, reply, enqueued_ns } => {
+                batch.push(Pending { nodes, reply, enqueued_ns, dequeued_ns: now_ns() })
             }
             Job::Reload { state, reply } => {
                 let _ = reply.send(host.reload(&state));
@@ -167,9 +172,9 @@ pub fn run_model_thread(
             flush_reason = "full";
             while batch.len() < cfg.batch_max {
                 match jobs.try_recv() {
-                    Ok(Job::Classify { nodes, reply, trace_id, enqueued_ns }) => batch.push(
-                        Pending { nodes, reply, trace_id, enqueued_ns, dequeued_ns: now_ns() },
-                    ),
+                    Ok(Job::Classify { nodes, reply, enqueued_ns }) => {
+                        batch.push(Pending { nodes, reply, enqueued_ns, dequeued_ns: now_ns() })
+                    }
                     Ok(job) => {
                         // Stop collecting: run what we have, then apply.
                         admin.push(job);
@@ -193,39 +198,26 @@ pub fn run_model_thread(
         ewma = 0.8 * ewma + 0.2 * batch.len() as f64;
         flight_record(FlightKind::Flush, batch.len() as u64, window_us, flush_reason);
 
-        // One full-graph forward answers every request in the batch. Its
-        // latency exemplar points at the first traced member, so a slow
-        // forward in /metrics links straight to a /debug/traces timeline.
-        let exemplar_trace = batch.iter().map(|p| p.trace_id).find(|&t| t != 0).unwrap_or(0);
-        let fwd_start_ns = now_ns();
+        // Every member's rows come out of the resident logits block; the
+        // checkpoint's forward ran once, when it was loaded.
+        let build_start_ns = now_ns();
         let t0 = Instant::now();
-        let logits = host.model().logits();
+        let answers: Vec<Vec<NodeScore>> = batch.iter().map(|p| host.scores(&p.nodes)).collect();
         let compute_ns = t0.elapsed().as_nanos() as u64;
-        autoac_obs::hist_record_ex("serve_forward_ns", compute_ns as f64, exemplar_trace);
         hist_record("serve_batch_size", batch.len() as f64);
         counter_add("serve_batches_total", 1);
         counter_add("serve_batched_requests_total", batch.len() as u64);
         let batch_size = batch.len();
-        let ckpt = &host.model().info().config_fp_hex;
-        for p in batch {
-            let rows = p
-                .nodes
-                .iter()
-                .map(|&n| NodeScore {
-                    node: n,
-                    label: logits.argmax_row(n),
-                    logits: logits.row(n).to_vec(),
-                })
-                .collect();
+        for (p, rows) in batch.into_iter().zip(answers) {
             let timing = JobTiming {
                 queue_ns: p.dequeued_ns.saturating_sub(p.enqueued_ns),
-                batch_wait_ns: fwd_start_ns.saturating_sub(p.dequeued_ns),
+                batch_wait_ns: build_start_ns.saturating_sub(p.dequeued_ns),
                 compute_ns,
                 batch_size,
             };
             // A send failure only means the requesting worker gave up
             // (client disconnect); nothing to do.
-            let _ = p.reply.send(ClassifyReply { ckpt: ckpt.clone(), rows, timing });
+            let _ = p.reply.send(ClassifyReply { ckpt: host.ckpt().to_string(), rows, timing });
         }
         for job in admin {
             if let Job::Reload { state, reply } = job {

@@ -1,23 +1,37 @@
-//! Model residency and hot-reload.
+//! Checkpoint residency and hot-reload.
 //!
-//! The pipeline types ([`InferenceModel`] and everything under it) hold
-//! `Rc`-shared tensors and are deliberately not `Send`, so the loaded
-//! model lives on exactly one dedicated thread (see [`crate::batch`]).
-//! Worker threads never touch it directly; what they *can* read without a
+//! AutoAC serving is transductive: one fixed graph, one trained model, so
+//! a checkpoint's logits are a pure function of (checkpoint, node id).
+//! [`ModelHost`] therefore runs each checkpoint's full-graph forward
+//! exactly once, when the checkpoint is loaded, and keeps the `(N, C)`
+//! logits block plus the checkpoint identity; the [`InferenceModel`] and
+//! its pipeline are dropped as soon as the block and the view are built.
+//! Every classify batch is answered by copying rows out of that block
+//! (see [`crate::batch`]).
+//!
+//! The pipeline types hold `Rc`-shared tensors and are deliberately not
+//! `Send`, so loading happens on the one model thread. Worker threads
+//! never touch the host directly; what they *can* read without a
 //! round-trip — the materialized attribute rows, node/class counts, and
 //! checkpoint identity — is published as an immutable [`SharedView`]
 //! behind an `Arc` swap, so `/v1/attrs` and `/healthz` are served
 //! entirely worker-side.
 //!
-//! Hot-reload builds the replacement [`InferenceModel`] first and only
-//! then swaps both the model and the view, so a failed reload leaves the
-//! old checkpoint serving and an accepted reload is atomic: every request
-//! is answered wholly by one checkpoint or the other, never a blend.
+//! Hot-reload builds the replacement [`InferenceModel`], refuses a
+//! foreign graph before running its forward, computes its logits and its
+//! view, and only then swaps logits, identity and view together. A failed
+//! reload leaves all three as they were, and an accepted reload is
+//! atomic: every request is answered wholly by one checkpoint or the
+//! other, never a blend.
 
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use autoac_ckpt::ServeState;
 use autoac_core::{InferenceModel, ServeStateInfo};
+use autoac_tensor::Matrix;
+
+use crate::batch::NodeScore;
 
 /// Immutable worker-visible snapshot of the loaded model: everything the
 /// read-only endpoints need, in `Send + Sync` form.
@@ -68,15 +82,27 @@ pub fn current_view(slot: &ViewSlot) -> Arc<SharedView> {
     Arc::clone(&slot.lock().unwrap_or_else(|p| p.into_inner()))
 }
 
-/// The loaded model plus the published view, owned by the model thread.
+/// Runs `model`'s one forward and builds its view. The forward's time is
+/// recorded as `serve_forward_ns`: once per load, never per request.
+fn materialize(model: &InferenceModel) -> (Matrix, SharedView) {
+    let t0 = Instant::now();
+    let logits = model.logits();
+    autoac_obs::hist_record("serve_forward_ns", t0.elapsed().as_nanos() as f64);
+    (logits, SharedView::from_model(model))
+}
+
+/// The resident checkpoint's logits block and identity plus the
+/// published view, owned by the model thread.
 pub struct ModelHost {
-    model: InferenceModel,
+    /// `(N, C)` logits from the checkpoint's single forward.
+    logits: Matrix,
+    info: ServeStateInfo,
     slot: ViewSlot,
 }
 
 impl ModelHost {
-    /// Loads the initial checkpoint and publishes its view into a fresh
-    /// slot.
+    /// Loads the initial checkpoint, runs its forward, and publishes its
+    /// view into a fresh slot.
     pub fn new(state: &ServeState) -> Result<Self, String> {
         let model = InferenceModel::from_state(state).map_err(|e| e.to_string())?;
         autoac_obs::flight_record(
@@ -85,8 +111,9 @@ impl ModelHost {
             0,
             &format!("model loaded: {}", model.info().config_fp_hex),
         );
-        let slot = Arc::new(Mutex::new(Arc::new(SharedView::from_model(&model))));
-        Ok(Self { model, slot })
+        let (logits, view) = materialize(&model);
+        let slot = Arc::new(Mutex::new(Arc::new(view)));
+        Ok(Self { logits, info: model.info().clone(), slot })
     }
 
     /// The slot workers should read views from.
@@ -94,15 +121,30 @@ impl ModelHost {
         Arc::clone(&self.slot)
     }
 
-    /// The resident model (model-thread only).
-    pub fn model(&self) -> &InferenceModel {
-        &self.model
+    /// Scores for `nodes`, in order, copied out of the resident logits
+    /// block. Ids must be `< num_nodes`; workers validate them against the
+    /// published view, and reloads never change the graph.
+    pub fn scores(&self, nodes: &[usize]) -> Vec<NodeScore> {
+        nodes
+            .iter()
+            .map(|&n| NodeScore {
+                node: n,
+                label: self.logits.argmax_row(n),
+                logits: self.logits.row(n).to_vec(),
+            })
+            .collect()
     }
 
-    /// Replaces the resident model with `state`, keeping the old one on
-    /// any failure. The new checkpoint must describe the *same graph*
+    /// Config fingerprint (hex) of the resident checkpoint.
+    pub fn ckpt(&self) -> &str {
+        &self.info.config_fp_hex
+    }
+
+    /// Replaces the resident checkpoint with `state`, keeping the old one
+    /// on any failure. The new checkpoint must describe the *same graph*
     /// (identical structural fingerprint) so node ids keep their meaning
-    /// across the swap; callers surface a violation as HTTP 409.
+    /// across the swap; a foreign graph is refused before its forward
+    /// runs. Callers surface a refusal as HTTP 409.
     pub fn reload(&mut self, state: &ServeState) -> Result<ServeStateInfo, String> {
         use autoac_obs::{flight_record, FlightKind};
         let next = match InferenceModel::from_state(state) {
@@ -112,21 +154,21 @@ impl ModelHost {
                 return Err(e.to_string());
             }
         };
-        if next.info().graph_fp != self.model.info().graph_fp {
+        if next.info().graph_fp != self.info.graph_fp {
             flight_record(
                 FlightKind::Reload,
-                self.model.info().graph_fp,
+                self.info.graph_fp,
                 next.info().graph_fp,
                 "rejected: graph fingerprint mismatch",
             );
             return Err(format!(
                 "graph fingerprint mismatch: serving {:016x}, checkpoint {:016x} — \
                  node ids would silently change meaning",
-                self.model.info().graph_fp,
+                self.info.graph_fp,
                 next.info().graph_fp
             ));
         }
-        let view = Arc::new(SharedView::from_model(&next));
+        let (logits, view) = materialize(&next);
         let info = next.info().clone();
         flight_record(
             FlightKind::Reload,
@@ -134,8 +176,9 @@ impl ModelHost {
             0,
             &format!("accepted: {}", info.config_fp_hex),
         );
-        self.model = next;
-        *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = view;
+        self.logits = logits;
+        self.info = info.clone();
+        *self.slot.lock().unwrap_or_else(|p| p.into_inner()) = Arc::new(view);
         Ok(info)
     }
 }
@@ -165,21 +208,38 @@ mod tests {
         assert_eq!(view.attr_row(1).map(<[f32]>::len), Some(view.attr_dim));
     }
 
+    fn bits(m: &Matrix) -> Vec<u32> {
+        (0..m.rows()).flat_map(|r| m.row(r).iter().map(|v| v.to_bits())).collect()
+    }
+
+    /// Every node's served logits, flattened to bits.
+    fn scored_bits(host: &ModelHost) -> Vec<u32> {
+        let nodes: Vec<usize> = (0..current_view(&host.slot()).num_nodes).collect();
+        host.scores(&nodes).iter().flat_map(|s| s.logits.iter().map(|v| v.to_bits())).collect()
+    }
+
     #[test]
     fn reload_swaps_view_atomically_and_rejects_foreign_graphs() {
         let mut host = ModelHost::new(&quick_state(3, 1)).expect("load");
         let slot = host.slot();
         let before = current_view(&slot).info.config_fp_hex.clone();
 
-        // Same graph, different seed: accepted, view swapped.
-        let info = host.reload(&quick_state(4, 1)).expect("reload");
+        // Same graph, different seed: accepted; logits, identity and view
+        // swapped together.
+        let next = quick_state(4, 1);
+        let info = host.reload(&next).expect("reload");
         assert_ne!(info.config_fp_hex, before);
         assert_eq!(current_view(&slot).info.config_fp_hex, info.config_fp_hex);
+        assert_eq!(host.ckpt(), info.config_fp_hex);
+        let want = InferenceModel::from_state(&next).expect("load").logits();
+        assert_eq!(scored_bits(&host), bits(&want), "the block is the new checkpoint's forward");
 
         // Different data seed regenerates a different graph: rejected,
-        // old view still published.
+        // old logits, identity and view all kept.
         let err = host.reload(&quick_state(5, 2)).expect_err("must reject");
         assert!(err.contains("graph fingerprint mismatch"), "{err}");
         assert_eq!(current_view(&slot).info.config_fp_hex, info.config_fp_hex);
+        assert_eq!(host.ckpt(), info.config_fp_hex);
+        assert_eq!(scored_bits(&host), bits(&want));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Online attribute-completion and inference serving for trained AutoAC
 //! models: a zero-dependency HTTP/1.1 server over `std::net` with a
-//! fixed worker pool, an adaptive micro-batching model thread, and
-//! atomic checkpoint hot-reload.
+//! fixed worker pool, a model thread that answers classify requests from
+//! logits computed once per checkpoint, and atomic checkpoint hot-reload.
 //!
 //! ## Endpoints
 //!
@@ -23,11 +23,14 @@
 //!
 //! Every classify response is **bitwise-identical** whether the request
 //! was answered alone or coalesced into a batch, and across restarts on
-//! the same checkpoint: the model forward reads a materialized constant
-//! attribute block and reseeds its RNG from the checkpoint's
-//! `infer_seed` on every call, so logits are a pure function of
-//! (checkpoint, node id). `serve_bench` and the integration tests diff
-//! response digests batched-vs-unbatched to hold the line.
+//! the same checkpoint. Each loaded checkpoint runs exactly one
+//! full-graph forward, before it starts serving: it reads a materialized
+//! constant attribute block under an RNG seeded from the checkpoint's
+//! `infer_seed`, so its logits are a pure function of (checkpoint, node
+//! id). Every classify copies its rows out of that one block.
+//! `serve_bench` and the integration tests diff response digests
+//! batched-vs-unbatched, and `/metrics` counts the forwards
+//! (`autoac_serve_forward_ns_count`, one per loaded checkpoint).
 //!
 //! ```no_run
 //! use autoac_core::{train_serve_state, ServeTrainSpec};

@@ -4,11 +4,16 @@
 //!
 //! ```text
 //!  acceptor ──streams──▶ workers (N) ──Job──▶ model thread (1)
-//!     │                     │  ▲                  │
-//!     │ nonblocking poll    │  └── per-job reply ─┘
+//!     │                     │  ▲                  │ logits block, one
+//!     │ poll(2), 10 ms      │  └── per-job reply ─┘ forward per checkpoint
 //!     ▼                     ▼
 //!  shutdown flag      SharedView slot (Arc swap, read-only endpoints)
 //! ```
+//!
+//! The model thread owns the resident checkpoint's logits block and
+//! answers classify jobs by copying rows out of it; it is also where a
+//! reload builds the (non-`Send`) pipeline and runs the new checkpoint's
+//! one forward before the swap.
 //!
 //! ## Graceful shutdown
 //!
@@ -157,9 +162,9 @@ pub struct Server {
 pub type ServerHandle = Server;
 
 impl Server {
-    /// Binds, loads the checkpoint on the model thread, and returns once
-    /// the server is ready to answer requests (or the checkpoint failed
-    /// to load).
+    /// Binds, loads the checkpoint and runs its one forward on the model
+    /// thread, and returns once the server is ready to answer requests
+    /// (or the checkpoint failed to load).
     pub fn start(state: ServeState, cfg: &ServeConfig) -> io::Result<Server> {
         // `/metrics` is part of the serving contract, so the obs registry
         // must record regardless of AUTOAC_OBS in the environment.
@@ -282,6 +287,45 @@ impl Drop for Server {
     }
 }
 
+/// How long the acceptor waits for a connection before it rechecks the
+/// shutdown flag: the bound on shutdown and SIGTERM latency.
+const ACCEPT_WAIT: Duration = Duration::from_millis(10);
+
+/// Blocks until `listener` has a pending connection or [`ACCEPT_WAIT`]
+/// passes, whichever is first.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener) {
+    use std::os::unix::io::AsRawFd;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(target_os = "linux")]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x1;
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    // SAFETY: `fd` is one live, exclusively borrowed pollfd and nfds is 1;
+    // the listener outlives the call. Any result (ready, timeout, EINTR)
+    // just sends the caller back to its flag check and `accept`.
+    unsafe {
+        poll(&mut fd, 1, ACCEPT_WAIT.as_millis() as i32);
+    }
+}
+
+/// Sleeps [`ACCEPT_WAIT`] where `poll(2)` is not declared.
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener) {
+    std::thread::sleep(ACCEPT_WAIT);
+}
+
 fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: Arc<AtomicBool>) {
     loop {
         if shutdown.load(Ordering::SeqCst) || signals::requested() {
@@ -296,12 +340,12 @@ fn accept_loop(listener: TcpListener, conn_tx: Sender<TcpStream>, shutdown: Arc<
                 }
             }
             Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-                std::thread::sleep(Duration::from_millis(10));
+                wait_for_connection(&listener);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
                 warn("serve", &format!("accept failed: {e}"));
-                std::thread::sleep(Duration::from_millis(10));
+                std::thread::sleep(ACCEPT_WAIT);
             }
         }
     }
@@ -572,7 +616,6 @@ fn classify(req: &Request, ctx: &Ctx) -> Result<(Value, JobTiming, usize), (u16,
         .send(Job::Classify {
             nodes,
             reply: reply_tx,
-            trace_id: req.trace_id,
             enqueued_ns: now_ns(),
         })
         .map_err(|_| (503, "model thread unavailable".to_string()))?;

@@ -3,12 +3,13 @@
 //!
 //! Every accepted connection byte-stream mints a 64-bit trace id the
 //! moment a request's first byte arrives (see [`TraceIds::mint`]). The id
-//! rides the request through the worker, the micro-batch queue, and the
-//! model thread; the completed [`Timeline`] — accept → parse →
-//! queue-wait → batch-wait → compute → write — is echoed back to the
-//! client in the `x-autoac-trace` response header, attached as an
-//! exemplar to the serving latency histograms, and retained in a
-//! fixed-capacity [`TraceStore`] ordered ring for `/debug/traces`.
+//! stays with the request on its worker, and the model thread's stage
+//! timings ride back to it on the reply; the completed [`Timeline`] —
+//! accept → parse → queue-wait → batch-wait → compute → write — is
+//! echoed back to the client in the `x-autoac-trace` response header,
+//! attached as an exemplar to the serving latency histograms, and
+//! retained in a fixed-capacity [`TraceStore`] ordered ring for
+//! `/debug/traces`.
 //!
 //! ## Determinism contract
 //!
@@ -127,9 +128,9 @@ pub struct Timeline {
     pub parse_ns: u64,
     /// Enqueue → dequeued by the model thread.
     pub queue_ns: u64,
-    /// Dequeued → batch forward started (coalescing wait).
+    /// Dequeued → the batch's row copies started (coalescing wait).
     pub batch_wait_ns: u64,
-    /// Model forward share for this request's batch.
+    /// Copying the batch's rows out of the resident logits block.
     pub compute_ns: u64,
     /// Response serialization + socket write.
     pub write_ns: u64,

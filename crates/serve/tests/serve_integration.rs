@@ -2,8 +2,10 @@
 //! identity, hot-reload under sustained concurrent load with zero dropped
 //! requests, endpoint coverage, and graceful shutdown.
 
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 use autoac_ckpt::ServeState;
 use autoac_core::{train_serve_state, InferenceModel, ServeTrainSpec, TrainConfig};
@@ -83,6 +85,10 @@ fn batched_responses_are_bitwise_identical_to_single_requests() {
 
 #[test]
 fn hot_reload_under_sustained_load_drops_nothing() {
+    const CLIENTS: usize = 6;
+    // Requests each client sends after the reload is acknowledged.
+    const AFTER_ACK: usize = 10;
+
     // Same dataset recipe (graph), independently trained models.
     let state_a = quick_state(21);
     let state_b = quick_state(22);
@@ -96,7 +102,11 @@ fn hot_reload_under_sustained_load_drops_nothing() {
     state_b.write_atomic(&path_b).expect("write ckpt");
 
     let num_nodes = InferenceModel::from_state(&state_a).expect("load").num_nodes();
-    let srv = server(state_a, true);
+    // A worker holds a keep-alive connection until it closes, so every
+    // client, the reload and the post-ack check each get their own worker:
+    // the reload is then served while the clients are still sending.
+    let cfg = ServeConfig { workers: CLIENTS + 2, ..Default::default() };
+    let srv = Server::start(state_a, &cfg).expect("start server");
     let addr = srv.addr();
 
     let sets: Vec<Vec<usize>> = (0..8).map(|i| vec![i % num_nodes, (i + 3) % num_nodes]).collect();
@@ -111,26 +121,46 @@ fn hot_reload_under_sustained_load_drops_nothing() {
         }
     }
 
-    // Sustained closed-loop load from 6 clients while the swap happens.
+    // Sustained closed-loop load from every client until the reload is
+    // acknowledged, then AFTER_ACK more requests each, so the load spans
+    // the swap on both sides.
     let sets = Arc::new(sets);
-    let clients: Vec<_> = (0..6)
+    // Each client reports its first answer (from A) here, so the reload is
+    // sent while all of them are loading.
+    let (started_tx, started) = mpsc::channel::<()>();
+    let acked = Arc::new(AtomicBool::new(false));
+    let clients: Vec<_> = (0..CLIENTS)
         .map(|ci| {
             let sets = Arc::clone(&sets);
+            let started = started_tx.clone();
+            let acked = Arc::clone(&acked);
             thread::spawn(move || {
                 let mut c = Client::connect(addr).expect("connect");
+                let mut sent = 0usize;
                 let mut out = Vec::new();
-                for i in 0..60 {
-                    let set_idx = (ci + i) % sets.len();
+                let mut left = AFTER_ACK;
+                while left > 0 {
+                    let after_ack = acked.load(Ordering::SeqCst);
+                    let set_idx = (ci + sent) % sets.len();
+                    sent += 1;
                     let r = c.post("/v1/classify", &nodes_body(&sets[set_idx])).expect("post");
-                    out.push((set_idx, r.status, r.text()));
+                    out.push((set_idx, after_ack, r.status, r.text()));
+                    if sent == 1 {
+                        let _ = started.send(());
+                    }
+                    if after_ack {
+                        left -= 1;
+                    }
                 }
-                out
+                (sent, out)
             })
         })
         .collect();
 
-    // Swap to checkpoint B mid-load.
-    thread::sleep(std::time::Duration::from_millis(30));
+    // Swap to checkpoint B once every client has had an answer from A.
+    for _ in 0..CLIENTS {
+        started.recv_timeout(Duration::from_secs(60)).expect("every client starts loading");
+    }
     let ack = {
         let mut c = Client::connect(addr).expect("connect");
         let body = format!("{{\"checkpoint\":{}}}", json::to_string(&Value::Str(
@@ -140,6 +170,7 @@ fn hot_reload_under_sustained_load_drops_nothing() {
         assert_eq!(r.status, 200, "{}", r.text());
         r.text()
     };
+    acked.store(true, Ordering::SeqCst);
     assert!(ack.contains(&hex_b), "reload ack must carry the new fingerprint: {ack}");
 
     // After the ack, a fresh request must be served by B.
@@ -153,11 +184,17 @@ fn hot_reload_under_sustained_load_drops_nothing() {
         }
     }
 
+    let mut sent = 0usize;
     let mut from_a = 0usize;
     let mut from_b = 0usize;
     for h in clients {
-        for (set_idx, status, body) in h.join().expect("client thread") {
+        let (client_sent, out) = h.join().expect("client thread");
+        sent += client_sent;
+        for (set_idx, after_ack, status, body) in out {
             assert_eq!(status, 200, "no request may error across the swap: {body}");
+            if after_ack {
+                assert_eq!(body, canon_b[set_idx], "requests sent after the ack come from B");
+            }
             if body == canon_a[set_idx] {
                 from_a += 1;
             } else if body == canon_b[set_idx] {
@@ -167,7 +204,8 @@ fn hot_reload_under_sustained_load_drops_nothing() {
             }
         }
     }
-    assert_eq!(from_a + from_b, 6 * 60, "every request answered");
+    assert_eq!(from_a + from_b, sent, "every request answered");
+    assert!(from_a > 0, "some responses must come from the old checkpoint");
     assert!(from_b > 0, "some responses must come from the new checkpoint");
 
     srv.stop();

@@ -40,7 +40,9 @@
 #    closed-loop clients (serve_bench --connect) twice — batching on and
 #    off — whose response digests must be identical (micro-batching is
 #    bitwise-invisible); /metrics must parse as Prometheus exposition
-#    text, and POST /admin/shutdown must take the daemon down gracefully.
+#    text and count exactly one served forward (one per loaded
+#    checkpoint, however many requests), and POST /admin/shutdown must
+#    take the daemon down gracefully.
 #    An in-process serve_bench smoke repeats the A/B inside one process.
 #  - the tracing pass: the same driver load against a daemon with
 #    AUTOAC_TRACE=0 must print a digest identical to the traced run
@@ -189,7 +191,8 @@ serve_drive() { # $1: batching flag ("" or --no-batching), $2: digest file
   [ -s "$WORK/serve.port" ] \
     || { echo "verify.sh: FAIL — autoac_serve never became ready"; kill "$daemon" 2>/dev/null; exit 1; }
   # Drives concurrent clients, validates /healthz and /metrics exposition
-  # text, prints the response digest, and issues POST /admin/shutdown.
+  # text (including the one-forward count), prints the response digest,
+  # and issues POST /admin/shutdown.
   "$SERVE_BENCH" --connect "$(cat "$WORK/serve.port")" --clients 4 --requests 40 \
     --shutdown | tee "$2.log" \
     || { echo "verify.sh: FAIL — serve_bench driver failed"; kill "$daemon" 2>/dev/null; exit 1; }
