@@ -1,38 +1,54 @@
-//! Kernel A/B benchmark and offline dispatch tuner.
+//! Kernel A/B benchmark: register-blocked microkernels vs the scalar
+//! reference.
 //!
-//! Measures the scalar vs register-blocked microkernels (see
-//! `crates/tensor/src/ops/microkernel.rs`) on a fixed set of paper-scale
-//! shapes — or on shapes replayed from an obs JSONL export
-//! (`--replay results/OBS_<run>.jsonl`, using the `"type":"shape"` records
-//! that `autoac_tensor::dispatch` emits) — asserts the two variants agree
-//! bitwise on every measured shape, fits the linear cost model the
-//! dispatch table is built from, and writes `results/BENCH_kernels.json`.
+//! Every matmul-family op (`Matrix::matmul`, `matmul_tn`, `matmul_nt`,
+//! `Csr::matmul_dense`) runs its register-blocked kernel (see
+//! `crates/tensor/src/ops/microkernel.rs`); its doc-hidden `*_reference`
+//! twin runs the scalar kernel through the same entry code. This binary
+//! times the two on a fixed set of paper-scale and workload shapes,
+//! asserts they agree bitwise on every measured shape at 1, 2 and 8
+//! threads, and writes `results/BENCH_kernels.json`.
 //!
 //! ```text
-//! bench_kernels [--replay FILE] [--out FILE] [--iters-ms N] [--smoke x]
+//! bench_kernels [--out FILE] [--iters-ms N] [--smoke x]
 //! ```
 //!
 //! `--smoke x` shrinks shapes and iteration budgets for the verify.sh
 //! smoke pass; `--iters-ms` sets the per-measurement time budget.
-//!
-//! The fitted weights are meant to be pasted into
-//! `CostModel::default_for` in `crates/tensor/src/dispatch.rs` when kernels
-//! or target hardware change; the JSON is the provenance record.
 
 use std::fs;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use autoac_tensor::dispatch::{classify, with_kernel, CostModel, KernelChoice, KernelOp};
 use autoac_tensor::parallel::with_threads;
 use autoac_tensor::{Csr, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// The benchmarked ops.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Op {
+    MatMul,
+    MatMulTn,
+    MatMulNt,
+    Spmm,
+}
+
+impl Op {
+    fn name(self) -> &'static str {
+        match self {
+            Op::MatMul => "matmul",
+            Op::MatMulTn => "matmul_tn",
+            Op::MatMulNt => "matmul_nt",
+            Op::Spmm => "spmm",
+        }
+    }
+}
+
 /// One benchmarked kernel invocation.
 #[derive(Clone, Copy, Debug)]
 struct Shape {
-    op: KernelOp,
+    op: Op,
     /// Output rows (dense) / CSR rows (spmm).
     m: usize,
     /// Inner dimension (dense) / CSR cols (spmm).
@@ -45,16 +61,19 @@ struct Shape {
 
 /// Paper-scale defaults: the forward/backward shapes a SimpleHGN/MAGNN
 /// training step actually runs on the HGB datasets (DBLP 4057 target
-/// nodes × 334 attrs, ACM ~3k × 1902, hidden 64), plus adversarial narrow
-/// and mid-size shapes so the fit sees both sides of the break-even.
+/// nodes × 334 attrs, ACM ~3k × 1902, hidden 64), adversarial narrow and
+/// mid-size shapes, and the benchmark workloads' column-vector products
+/// and low-degree (under 4 nonzeros per row) aggregations.
 fn default_shapes(smoke: bool) -> Vec<Shape> {
-    use KernelOp::*;
+    use Op::*;
     if smoke {
         return vec![
             Shape { op: MatMul, m: 256, k: 64, n: 64, nnz: 0 },
+            Shape { op: MatMul, m: 256, k: 64, n: 1, nnz: 0 },
             Shape { op: MatMulTn, m: 64, k: 256, n: 64, nnz: 0 },
             Shape { op: MatMulNt, m: 256, k: 64, n: 64, nnz: 0 },
             Shape { op: Spmm, m: 512, k: 512, n: 64, nnz: 4096 },
+            Shape { op: Spmm, m: 512, k: 512, n: 32, nnz: 1024 },
         ];
     }
     vec![
@@ -64,10 +83,15 @@ fn default_shapes(smoke: bool) -> Vec<Shape> {
         Shape { op: MatMul, m: 4057, k: 64, n: 64, nnz: 0 },
         Shape { op: MatMul, m: 4057, k: 64, n: 7, nnz: 0 },
         Shape { op: MatMul, m: 128, k: 64, n: 64, nnz: 0 },
+        // Attention-score column vectors (n = 1) from the full-batch
+        // workloads.
+        Shape { op: MatMul, m: 3267, k: 64, n: 1, nnz: 0 },
+        Shape { op: MatMul, m: 2678, k: 128, n: 1, nnz: 0 },
         // Backward: dW = Xᵀ·dY (tn) and dX = dY·Wᵀ (nt).
         Shape { op: MatMulTn, m: 334, k: 4057, n: 64, nnz: 0 },
         Shape { op: MatMulTn, m: 64, k: 4057, n: 64, nnz: 0 },
         Shape { op: MatMulTn, m: 64, k: 128, n: 64, nnz: 0 },
+        Shape { op: MatMulTn, m: 64, k: 3267, n: 1, nnz: 0 },
         Shape { op: MatMulNt, m: 4057, k: 64, n: 334, nnz: 0 },
         Shape { op: MatMulNt, m: 4057, k: 64, n: 64, nnz: 0 },
         Shape { op: MatMulNt, m: 128, k: 7, n: 64, nnz: 0 },
@@ -76,46 +100,13 @@ fn default_shapes(smoke: bool) -> Vec<Shape> {
         Shape { op: Spmm, m: 3025, k: 3025, n: 64, nnz: 30_000 },
         Shape { op: Spmm, m: 4057, k: 4057, n: 7, nnz: 20_000 },
         Shape { op: Spmm, m: 1024, k: 1024, n: 64, nnz: 2048 },
+        // Low-degree relations and sampled batches: under 4 nonzeros per
+        // row, up to the 50k-node evaluation product.
+        Shape { op: Spmm, m: 3267, k: 3267, n: 64, nnz: 12_831 },
+        Shape { op: Spmm, m: 2678, k: 2678, n: 64, nnz: 4979 },
+        Shape { op: Spmm, m: 300, k: 300, n: 32, nnz: 1000 },
+        Shape { op: Spmm, m: 50_000, k: 50_000, n: 32, nnz: 60_026 },
     ]
-}
-
-fn op_by_name(name: &str) -> Option<KernelOp> {
-    Some(match name {
-        "matmul" => KernelOp::MatMul,
-        "matmul_tn" => KernelOp::MatMulTn,
-        "matmul_nt" => KernelOp::MatMulNt,
-        "spmm" => KernelOp::Spmm,
-        _ => return None,
-    })
-}
-
-/// Parses `"type":"shape"` records from an obs JSONL export, most-executed
-/// first, capped so a replay stays a bounded run.
-fn replay_shapes(path: &str) -> Vec<Shape> {
-    let text = fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("bench_kernels: cannot read --replay {path}: {e}"));
-    let mut out: Vec<(u64, Shape)> = Vec::new();
-    for line in text.lines() {
-        let Ok(v) = autoac_data::json::parse(line) else { continue };
-        if v.get("type").and_then(|t| t.as_str()) != Some("shape") {
-            continue;
-        }
-        let field = |k: &str| v.get(k).and_then(|x| x.as_usize()).unwrap_or(0);
-        let Some(op) = v.get("op").and_then(|o| o.as_str()).and_then(op_by_name) else {
-            continue;
-        };
-        let count = field("count") as u64;
-        let shape =
-            Shape { op, m: field("m"), k: field("k"), n: field("n"), nnz: field("nnz") };
-        if shape.m * shape.n == 0 {
-            continue;
-        }
-        out.push((count, shape));
-    }
-    assert!(!out.is_empty(), "bench_kernels: no shape records in {path}");
-    out.sort_by_key(|(count, _)| std::cmp::Reverse(*count));
-    out.truncate(32);
-    out.into_iter().map(|(_, s)| s).collect()
 }
 
 fn random_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
@@ -136,7 +127,7 @@ fn random_csr(rng: &mut StdRng, rows: usize, cols: usize, nnz: usize) -> Csr {
     )
 }
 
-/// Inputs for one shape, built once and reused across variants so both
+/// Inputs for one shape, built once and reused by both kernels so they
 /// measure identical data.
 enum Inputs {
     Dense(Matrix, Matrix),
@@ -146,66 +137,67 @@ enum Inputs {
 impl Shape {
     fn build(&self, rng: &mut StdRng) -> Inputs {
         match self.op {
-            KernelOp::MatMul => {
+            Op::MatMul => {
                 Inputs::Dense(random_matrix(rng, self.m, self.k), random_matrix(rng, self.k, self.n))
             }
             // tn computes selfᵀ·other with self stored k×m.
-            KernelOp::MatMulTn => {
+            Op::MatMulTn => {
                 Inputs::Dense(random_matrix(rng, self.k, self.m), random_matrix(rng, self.k, self.n))
             }
             // nt computes self·otherᵀ with other stored n×k.
-            KernelOp::MatMulNt => {
+            Op::MatMulNt => {
                 Inputs::Dense(random_matrix(rng, self.m, self.k), random_matrix(rng, self.n, self.k))
             }
-            KernelOp::Spmm => Inputs::Sparse(
+            Op::Spmm => Inputs::Sparse(
                 random_csr(rng, self.m, self.k, self.nnz),
                 random_matrix(rng, self.k, self.n),
             ),
         }
     }
 
-    fn run(&self, inputs: &Inputs) -> Matrix {
-        match (self.op, inputs) {
-            (KernelOp::MatMul, Inputs::Dense(a, b)) => a.matmul(b),
-            (KernelOp::MatMulTn, Inputs::Dense(a, b)) => a.matmul_tn(b),
-            (KernelOp::MatMulNt, Inputs::Dense(a, b)) => a.matmul_nt(b),
-            (KernelOp::Spmm, Inputs::Sparse(a, x)) => a.matmul_dense(x),
+    /// Runs the op on the scalar reference kernel (`reference`) or the
+    /// blocked kernel the public op uses.
+    fn run(&self, inputs: &Inputs, reference: bool) -> Matrix {
+        match (self.op, inputs, reference) {
+            (Op::MatMul, Inputs::Dense(a, b), false) => a.matmul(b),
+            (Op::MatMul, Inputs::Dense(a, b), true) => a.matmul_reference(b),
+            (Op::MatMulTn, Inputs::Dense(a, b), false) => a.matmul_tn(b),
+            (Op::MatMulTn, Inputs::Dense(a, b), true) => a.matmul_tn_reference(b),
+            (Op::MatMulNt, Inputs::Dense(a, b), false) => a.matmul_nt(b),
+            (Op::MatMulNt, Inputs::Dense(a, b), true) => a.matmul_nt_reference(b),
+            (Op::Spmm, Inputs::Sparse(a, x), false) => a.matmul_dense(x),
+            (Op::Spmm, Inputs::Sparse(a, x), true) => a.matmul_dense_reference(x),
             _ => unreachable!("inputs built for the same op"),
         }
     }
 }
 
-/// Median wall-time in milliseconds per variant, from `reps` timed batches
-/// each sized to run for roughly `budget_ms`. The variants are measured
-/// **interleaved** (scalar, blocked, auto, scalar, …) so slow drift —
-/// frequency scaling, another process waking up — lands on all three
+/// Median wall-time in milliseconds of `[reference, blocked]`, from `reps`
+/// timed batches each sized to run for roughly `budget_ms`. The two are
+/// measured **interleaved** (reference, blocked, reference, …) so slow
+/// drift — frequency scaling, another process waking up — lands on both
 /// equally instead of biasing whichever was measured last.
-fn measure_all(shape: &Shape, inputs: &Inputs, budget_ms: f64, reps: usize) -> [f64; 3] {
-    const CHOICES: [KernelChoice; 3] =
-        [KernelChoice::Scalar, KernelChoice::Blocked, KernelChoice::Auto];
-    // Calibrate the batch size on the slowest variant's warm-up call so
+fn measure(shape: &Shape, inputs: &Inputs, budget_ms: f64, reps: usize) -> [f64; 2] {
+    const KERNELS: [bool; 2] = [true, false];
+    // Calibrate the batch size on the slower kernel's warm-up call so
     // every batch meets the budget.
-    let once_ms = CHOICES
+    let once_ms = KERNELS
         .iter()
-        .map(|&c| {
-            with_kernel(c, || {
-                let t0 = Instant::now();
-                std::hint::black_box(shape.run(inputs));
-                t0.elapsed().as_secs_f64() * 1e3
-            })
+        .map(|&reference| {
+            let t0 = Instant::now();
+            std::hint::black_box(shape.run(inputs, reference));
+            t0.elapsed().as_secs_f64() * 1e3
         })
         .fold(0.0f64, f64::max);
     let batch = ((budget_ms / once_ms.max(1e-4)) as usize).clamp(1, 10_000);
-    let mut times = [const { Vec::new() }; 3];
+    let mut times = [const { Vec::new() }; 2];
     for _ in 0..reps {
-        for (v, &choice) in CHOICES.iter().enumerate() {
-            with_kernel(choice, || {
-                let t = Instant::now();
-                for _ in 0..batch {
-                    std::hint::black_box(shape.run(std::hint::black_box(inputs)));
-                }
-                times[v].push(t.elapsed().as_secs_f64() * 1e3 / batch as f64);
-            });
+        for (v, &reference) in KERNELS.iter().enumerate() {
+            let t = Instant::now();
+            for _ in 0..batch {
+                std::hint::black_box(shape.run(std::hint::black_box(inputs), reference));
+            }
+            times[v].push(t.elapsed().as_secs_f64() * 1e3 / batch as f64);
         }
     }
     times.map(|mut t| {
@@ -226,87 +218,12 @@ struct Cell {
     shape: Shape,
     scalar_ms: f64,
     blocked_ms: f64,
-    auto_ms: f64,
 }
 
 impl Cell {
     fn speedup(&self) -> f64 {
         self.scalar_ms / self.blocked_ms
     }
-}
-
-/// Ridge-regularized least squares for the per-op cost model: features
-/// `[1, work_log2, n_log2, density, threads]`, target
-/// `log2(scalar/blocked)`. Returns `None` when an op has no samples.
-fn fit(cells: &[&Cell]) -> Option<CostModel> {
-    if cells.is_empty() {
-        return None;
-    }
-    const D: usize = 5;
-    let mut xtx = [[0.0f64; D]; D];
-    let mut xty = [0.0f64; D];
-    for c in cells {
-        let cl = classify(
-            c.shape.m,
-            c.shape.k,
-            c.shape.n,
-            (c.shape.nnz > 0).then_some(c.shape.nnz),
-        );
-        let x = [
-            1.0,
-            cl.work_log2 as f64,
-            cl.n_log2 as f64,
-            cl.density as f64,
-            cl.threads as f64,
-        ];
-        let y = c.speedup().max(1e-6).log2();
-        for i in 0..D {
-            for j in 0..D {
-                xtx[i][j] += x[i] * x[j];
-            }
-            xty[i] += x[i] * y;
-        }
-    }
-    for (i, row) in xtx.iter_mut().enumerate() {
-        row[i] += 1e-3; // ridge: keeps the solve well-posed on few samples
-    }
-    let w = solve(&mut xtx, &mut xty)?;
-    Some(CostModel {
-        bias: w[0] as f32,
-        w_work: w[1] as f32,
-        w_n: w[2] as f32,
-        w_density: w[3] as f32,
-        w_threads: w[4] as f32,
-    })
-}
-
-/// Gaussian elimination with partial pivoting on the 5×5 normal equations.
-fn solve(a: &mut [[f64; 5]; 5], b: &mut [f64; 5]) -> Option<[f64; 5]> {
-    const D: usize = 5;
-    for col in 0..D {
-        let pivot = (col..D).max_by(|&i, &j| a[i][col].abs().total_cmp(&a[j][col].abs()))?;
-        if a[pivot][col].abs() < 1e-12 {
-            return None;
-        }
-        a.swap(col, pivot);
-        b.swap(col, pivot);
-        for row in col + 1..D {
-            let f = a[row][col] / a[col][col];
-            for c in col..D {
-                a[row][c] -= f * a[col][c];
-            }
-            b[row] -= f * b[col];
-        }
-    }
-    let mut x = [0.0f64; D];
-    for col in (0..D).rev() {
-        let mut v = b[col];
-        for c in col + 1..D {
-            v -= a[col][c] * x[c];
-        }
-        x[col] = v / a[col][col];
-    }
-    Some(x)
 }
 
 fn jnum(v: f64) -> String {
@@ -318,15 +235,10 @@ fn jnum(v: f64) -> String {
 }
 
 fn main() {
-    let mut replay: Option<String> = None;
     let mut out_path = PathBuf::from("results/BENCH_kernels.json");
     let mut smoke = false;
     let mut budget_ms: f64 = 60.0;
     let _args = autoac_bench::Args::parse_extra(|flag, value| match flag {
-        "--replay" => {
-            replay = Some(value.to_string());
-            true
-        }
         "--out" => {
             out_path = PathBuf::from(value);
             true
@@ -346,30 +258,26 @@ fn main() {
     }
     let reps = if smoke { 3 } else { 5 };
 
-    let shapes = match &replay {
-        Some(path) => replay_shapes(path),
-        None => default_shapes(smoke),
-    };
-
     let mut rng = StdRng::seed_from_u64(7);
     let mut cells: Vec<Cell> = Vec::new();
     println!(
-        "{:<10} {:>6} {:>6} {:>6} {:>9} {:>11} {:>11} {:>8} {:>8}",
-        "op", "m", "k", "n", "nnz", "scalar ms", "blocked ms", "speedup", "auto"
+        "{:<10} {:>6} {:>6} {:>6} {:>9} {:>11} {:>11} {:>8}",
+        "op", "m", "k", "n", "nnz", "scalar ms", "blocked ms", "speedup"
     );
-    for shape in &shapes {
+    for shape in default_shapes(smoke) {
         let inputs = shape.build(&mut rng);
-        // Bitwise parity on the measured inputs doubles as the A/B proof
-        // that dispatch cannot change results.
-        let reference = with_kernel(KernelChoice::Scalar, || shape.run(&inputs));
-        for choice in [KernelChoice::Blocked, KernelChoice::Auto] {
-            let got = with_kernel(choice, || shape.run(&inputs));
-            assert_bitwise(&reference, &got, &format!("{:?} {choice:?}", shape.op));
+        // Bitwise parity on the measured inputs, at every thread count the
+        // parity harness covers: the blocked kernel must reproduce the
+        // serial reference exactly.
+        let want = with_threads(1, || shape.run(&inputs, true));
+        for threads in [1, 2, 8] {
+            let got = with_threads(threads, || shape.run(&inputs, false));
+            assert_bitwise(&want, &got, &format!("{} @ {threads} threads", shape.op.name()));
         }
-        let [scalar_ms, blocked_ms, auto_ms] = measure_all(shape, &inputs, budget_ms, reps);
-        let cell = Cell { shape: *shape, scalar_ms, blocked_ms, auto_ms };
+        let [scalar_ms, blocked_ms] = measure(&shape, &inputs, budget_ms, reps);
+        let cell = Cell { shape, scalar_ms, blocked_ms };
         println!(
-            "{:<10} {:>6} {:>6} {:>6} {:>9} {:>11.4} {:>11.4} {:>8.2} {:>8.2}",
+            "{:<10} {:>6} {:>6} {:>6} {:>9} {:>11.4} {:>11.4} {:>8.2}",
             shape.op.name(),
             shape.m,
             shape.k,
@@ -378,42 +286,18 @@ fn main() {
             scalar_ms,
             blocked_ms,
             cell.speedup(),
-            scalar_ms / auto_ms,
         );
         cells.push(cell);
     }
 
-    // Auto must track the better variant: on every shape it may not lose
-    // more than 20% to the faster of the two forced choices (tolerance for
-    // timer noise at smoke budgets).
-    let mut auto_regressions = 0;
-    for c in &cells {
-        let best = c.scalar_ms.min(c.blocked_ms);
-        if c.auto_ms > best * 1.2 {
-            auto_regressions += 1;
-            println!(
-                "WARN auto regression on {:?} {}x{}x{}: auto {:.4}ms vs best {:.4}ms",
-                c.shape.op.name(),
-                c.shape.m,
-                c.shape.k,
-                c.shape.n,
-                c.auto_ms,
-                best
-            );
-        }
-    }
-
     let paper_dense: Vec<f64> = cells
         .iter()
-        .filter(|c| {
-            matches!(c.shape.op, KernelOp::MatMul | KernelOp::MatMulTn | KernelOp::MatMulNt)
-                && c.shape.m * c.shape.k * c.shape.n >= 10_000_000
-        })
+        .filter(|c| c.shape.op != Op::Spmm && c.shape.m * c.shape.k * c.shape.n >= 10_000_000)
         .map(Cell::speedup)
         .collect();
     let spmm: Vec<f64> = cells
         .iter()
-        .filter(|c| matches!(c.shape.op, KernelOp::Spmm) && c.shape.n >= 8)
+        .filter(|c| c.shape.op == Op::Spmm && c.shape.n >= 8)
         .map(Cell::speedup)
         .collect();
     let geomean = |v: &[f64]| {
@@ -424,11 +308,11 @@ fn main() {
         }
     };
 
-    let mut json = String::from("{\n  \"schema\": 1,\n  \"shapes\": [\n");
+    let mut json = String::from("{\n  \"schema\": 2,\n  \"shapes\": [\n");
     for (i, c) in cells.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"op\": \"{}\", \"m\": {}, \"k\": {}, \"n\": {}, \"nnz\": {}, \
-             \"scalar_ms\": {}, \"blocked_ms\": {}, \"auto_ms\": {}, \"speedup\": {}}}{}\n",
+             \"scalar_ms\": {}, \"blocked_ms\": {}, \"speedup\": {}}}{}\n",
             c.shape.op.name(),
             c.shape.m,
             c.shape.k,
@@ -436,34 +320,15 @@ fn main() {
             c.shape.nnz,
             jnum(c.scalar_ms),
             jnum(c.blocked_ms),
-            jnum(c.auto_ms),
             jnum(c.speedup()),
             if i + 1 < cells.len() { "," } else { "" }
         ));
     }
-    json.push_str("  ],\n  \"fit\": {\n");
-    let ops = [KernelOp::MatMul, KernelOp::MatMulTn, KernelOp::MatMulNt, KernelOp::Spmm];
-    for (i, op) in ops.iter().enumerate() {
-        let op_cells: Vec<&Cell> = cells.iter().filter(|c| c.shape.op == *op).collect();
-        let model = fit(&op_cells).unwrap_or_else(|| CostModel::default_for(*op));
-        json.push_str(&format!(
-            "    \"{}\": {{\"bias\": {}, \"w_work\": {}, \"w_n\": {}, \"w_density\": {}, \
-             \"w_threads\": {}}}{}\n",
-            op.name(),
-            jnum(model.bias as f64),
-            jnum(model.w_work as f64),
-            jnum(model.w_n as f64),
-            jnum(model.w_density as f64),
-            jnum(model.w_threads as f64),
-            if i + 1 < ops.len() { "," } else { "" }
-        ));
-    }
     json.push_str(&format!(
-        "  }},\n  \"summary\": {{\"dense_speedup_geomean\": {}, \"spmm_speedup_geomean\": {}, \
-         \"auto_regressions\": {}, \"smoke\": {}}}\n}}\n",
+        "  ],\n  \"summary\": {{\"dense_speedup_geomean\": {}, \"spmm_speedup_geomean\": {}, \
+         \"smoke\": {}}}\n}}\n",
         jnum(geomean(&paper_dense)),
         jnum(geomean(&spmm)),
-        auto_regressions,
         smoke
     ));
     if let Some(parent) = out_path.parent() {
@@ -476,16 +341,5 @@ fn main() {
         geomean(&spmm),
         out_path.display()
     );
-    // Thread-count parity spot check: the same shape at 1/2/8 threads must
-    // agree bitwise for every choice (cheap; uses the first dense shape).
-    let spot = shapes[0];
-    let inputs = spot.build(&mut rng);
-    let reference = with_threads(1, || spot.run(&inputs));
-    for threads in [2, 8] {
-        for choice in [KernelChoice::Scalar, KernelChoice::Blocked, KernelChoice::Auto] {
-            let got = with_threads(threads, || with_kernel(choice, || spot.run(&inputs)));
-            assert_bitwise(&reference, &got, &format!("threads={threads} {choice:?}"));
-        }
-    }
-    println!("thread-count parity: ok");
+    println!("bitwise parity at 1, 2 and 8 threads: ok");
 }

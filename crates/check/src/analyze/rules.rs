@@ -53,7 +53,6 @@ pub const SERVE_ENTRY_POINTS: &[&str] = &["handle_connection", "run_model_thread
 pub const ENV_REGISTRY: &[(&str, &str)] = &[
     ("AUTOAC_CHECK", "parse_bool_env"),
     ("AUTOAC_FLIGHT", "parse_bool_env"),
-    ("AUTOAC_KERNEL", "parse_kernel_env"),
     ("AUTOAC_NUM_THREADS", "parse_threads_env"),
     ("AUTOAC_OBS", "parse_bool_env"),
     ("AUTOAC_POOL", "parse_bool_env"),

@@ -30,11 +30,12 @@
 //!   diagnostics must go through `autoac_obs::warn`, which prints the same
 //!   line *and* counts/exports it. The obs crate itself
 //!   (`crates/obs/src/`) is exempt — it is where the routing lives.
-//! - **dispatch-parity-coverage** — every kernel variant registered in the
-//!   `VARIANTS` list of `crates/tensor/src/dispatch.rs` must be exercised
-//!   by name in the parity harness
-//!   (`crates/tensor/tests/kernel_parity.rs`). A variant the harness never
-//!   compares is a kernel whose bitwise-equality contract nothing checks.
+//! - **dispatch-parity-coverage** — every `*_scalar` / `*_blocked` kernel
+//!   fn in `crates/tensor/src/ops/microkernel.rs` must be named in the
+//!   parity harness (`crates/tensor/tests/kernel_parity.rs`). A kernel the
+//!   harness never names is one whose bitwise-equality contract nothing
+//!   checks. The rule fails closed: a tree with the harness but no kernels
+//!   in that file (moved, renamed, or deleted) is itself a finding.
 //!
 //! A finding can be silenced with a `lint:allow(<rule>)` marker (in a
 //! comment) on the same or the preceding line; the allowlist is meant to be
@@ -223,54 +224,58 @@ fn qualified_by(file: &SourceFile, i: usize, member: &str) -> bool {
     file.next_code(c2).is_some_and(|m| file.is_ident(m, member))
 }
 
-/// The dispatch-parity-coverage rule over in-memory texts: every string
-/// in `dispatch_text`'s `VARIANTS` list must occur (word-delimited) in
-/// `parity_text`. Split out from the root-level check for direct unit
-/// testing.
-pub fn scan_dispatch_parity(dispatch_text: &str, parity_text: &str) -> Report {
-    const DISPATCH_REL: &str = "crates/tensor/src/dispatch.rs";
-    let file = SourceFile::parse(
-        DISPATCH_REL,
-        "tensor",
-        FileKind::Lib,
-        dispatch_text.to_string(),
-    );
+/// The kernels file whose `*_scalar` / `*_blocked` fns the
+/// dispatch-parity-coverage rule checks.
+const KERNELS_REL: &str = "crates/tensor/src/ops/microkernel.rs";
+/// The parity harness that must name every kernel.
+const PARITY_REL: &str = "crates/tensor/tests/kernel_parity.rs";
+
+fn parse_kernels(text: &str) -> SourceFile {
+    SourceFile::parse(KERNELS_REL, "tensor", FileKind::Lib, text.to_string())
+}
+
+/// The kernel registry: every non-test fn in a kernels file named
+/// `*_scalar` or `*_blocked`, with its line, in definition order.
+fn registry_of(file: &SourceFile) -> Vec<(String, u32)> {
+    file.fns
+        .iter()
+        .filter(|d| !d.in_test && (d.name.ends_with("_scalar") || d.name.ends_with("_blocked")))
+        .map(|d| (d.name.clone(), d.line))
+        .collect()
+}
+
+/// The dispatch-parity-coverage rule over in-memory texts: every kernel in
+/// `kernels_text` (see [`registry_of`]) must occur (word-delimited) in
+/// `parity_text`. A missing kernels file (`None`) or one defining no
+/// kernels is a finding, so moving the kernels cannot switch the rule off.
+/// Split out from the root-level check for direct unit testing.
+pub fn scan_dispatch_parity(kernels_text: Option<&str>, parity_text: &str) -> Report {
     let mut report = Report::new();
-    // Locate `VARIANTS … = … [ "name", … ]` on the token stream: the `[`
-    // after the `=` opens the list (the one in the `&[&str]` type
-    // annotation sits before the `=` and is skipped).
-    let Some(variants) = (0..file.toks.len()).find(|&i| file.is_ident(i, "VARIANTS")) else {
+    let file = parse_kernels(kernels_text.unwrap_or_default());
+    let variants = registry_of(&file);
+    if variants.is_empty() {
+        report.push(Diagnostic {
+            analysis: Analysis::Lint,
+            rule: RULE_DISPATCH_PARITY,
+            message: format!(
+                "kernel registry missing: {KERNELS_REL} defines no `*_scalar`/`*_blocked` \
+                 kernels for {PARITY_REL} to cover"
+            ),
+            location: KERNELS_REL.to_string(),
+        });
         return report;
-    };
-    let Some(eq) = (variants..file.toks.len()).find(|&i| file.is_punct(i, '=')) else {
-        return report;
-    };
-    let Some(open) = (eq..file.toks.len()).find(|&i| file.is_punct(i, '[')) else {
-        return report;
-    };
-    for i in open..file.toks.len() {
-        if file.is_punct(i, ']') {
-            break;
-        }
-        if file.toks[i].kind != TokKind::Str {
-            continue;
-        }
-        let name = file.tok_text(i).trim_matches('"');
-        if name.is_empty() || contains_word(parity_text, name) {
-            continue;
-        }
-        let line = file.toks[i].line;
-        if file.allow_for("lint", RULE_DISPATCH_PARITY, line).is_some() {
+    }
+    for (name, line) in variants {
+        if contains_word(parity_text, &name)
+            || file.allow_for("lint", RULE_DISPATCH_PARITY, line).is_some()
+        {
             continue;
         }
         report.push(Diagnostic {
             analysis: Analysis::Lint,
             rule: RULE_DISPATCH_PARITY,
-            message: format!(
-                "kernel variant `{name}` is registered in VARIANTS but never exercised \
-                 in crates/tensor/tests/kernel_parity.rs"
-            ),
-            location: format!("{DISPATCH_REL}:{line}"),
+            message: format!("kernel `{name}` is never exercised in {PARITY_REL}"),
+            location: format!("{KERNELS_REL}:{line}"),
         });
     }
     report
@@ -301,9 +306,11 @@ pub fn lint_workspace(ws: &Workspace, root: &Path) -> Report {
         }
         report.merge(scan_file(file, gradcheck_text));
     }
-    if let Some(dispatch_text) = text_of("crates/tensor/src/dispatch.rs") {
-        let parity_text = text_of("crates/tensor/tests/kernel_parity.rs").unwrap_or_default();
-        report.merge(scan_dispatch_parity(dispatch_text, parity_text));
+    // Inert only for trees with neither side (e.g. the analyze fixtures):
+    // a harness without kernels, or kernels without a harness, report.
+    let (kernels_text, parity_text) = (text_of(KERNELS_REL), text_of(PARITY_REL));
+    if kernels_text.is_some() || parity_text.is_some() {
+        report.merge(scan_dispatch_parity(kernels_text, parity_text.unwrap_or_default()));
     }
     report
 }
@@ -469,21 +476,64 @@ mod tests {
 
     #[test]
     fn dispatch_parity_flags_uncovered_variants_with_word_boundaries() {
-        let dispatch = "\
-/// registry
-pub const VARIANTS: &[&str] = &[
-    \"foo_scalar\",
-    \"foo_blocked\",
-];
+        let kernels = "\
+/// kernels
+pub(crate) fn foo_scalar() {}
+pub(crate) fn foo_blocked() {}
+pub(crate) fn foo_helper() {}
+
+#[cfg(test)]
+mod tests {
+    fn bar_scalar() {}
+}
 ";
+        assert_eq!(registry_names(kernels), ["foo_scalar", "foo_blocked"]);
         // `foo_scalar_x` is not word-delimited coverage of `foo_scalar`.
-        let report = scan_dispatch_parity(dispatch, "run(foo_scalar_x); check(\"foo_blocked\");");
+        let report =
+            scan_dispatch_parity(Some(kernels), "run(foo_scalar_x); check(\"foo_blocked\");");
         assert_eq!(report.diagnostics.len(), 1, "{}", report.render());
         assert_eq!(report.diagnostics[0].rule, RULE_DISPATCH_PARITY);
-        assert_eq!(report.diagnostics[0].location, "crates/tensor/src/dispatch.rs:3");
-        // Covered both ways -> clean; no VARIANTS list -> inert.
-        assert!(scan_dispatch_parity(dispatch, "foo_scalar foo_blocked").is_clean());
-        assert!(scan_dispatch_parity("pub fn f() {}", "").is_clean());
+        assert_eq!(report.diagnostics[0].location, "crates/tensor/src/ops/microkernel.rs:2");
+        // Covered both ways -> clean.
+        assert!(scan_dispatch_parity(Some(kernels), "foo_scalar foo_blocked").is_clean());
+    }
+
+    fn registry_names(kernels_text: &str) -> Vec<String> {
+        registry_of(&parse_kernels(kernels_text)).into_iter().map(|(n, _)| n).collect()
+    }
+
+    #[test]
+    fn parity_rule_reads_the_real_kernel_registry() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../tensor/src/ops/microkernel.rs");
+        let text = std::fs::read_to_string(path).expect("the kernels file the parity rule reads");
+        assert_eq!(
+            registry_names(&text),
+            [
+                "matmul_scalar",
+                "matmul_blocked",
+                "matmul_tn_scalar",
+                "matmul_tn_blocked",
+                "matmul_nt_scalar",
+                "matmul_nt_blocked",
+                "spmm_scalar",
+                "spmm_blocked",
+            ]
+        );
+    }
+
+    #[test]
+    fn dispatch_parity_fails_closed_without_a_kernel_registry() {
+        // A harness with no kernels file, or a kernels file that defines
+        // no `*_scalar`/`*_blocked` fns, is one finding naming the
+        // missing registry — never a silent pass.
+        for kernels in [None, Some("pub fn f() {}")] {
+            let report = scan_dispatch_parity(kernels, "matmul_scalar matmul_blocked");
+            assert_eq!(report.diagnostics.len(), 1, "{}", report.render());
+            let d = &report.diagnostics[0];
+            assert_eq!(d.rule, RULE_DISPATCH_PARITY);
+            assert!(d.message.contains("registry missing"), "{}", d.message);
+            assert!(d.message.contains("crates/tensor/src/ops/microkernel.rs"), "{}", d.message);
+        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn fixture_tree_trips_every_rule_and_honors_obs_exemptions() {
         assert!(
             d.location.starts_with("crates/tensor/src/ops/seeded.rs:")
                 || d.location.starts_with("crates/obs/src/seeded_timer.rs:")
-                || d.location.starts_with("crates/tensor/src/dispatch.rs:")
+                || d.location.starts_with("crates/tensor/src/ops/microkernel.rs:")
                 || d.location.starts_with("crates/serve/src/seeded_routes.rs:")
                 || d.location.starts_with("crates/graph/src/shard.rs:"),
             "bad location {}",

@@ -143,9 +143,10 @@ pub fn hist_record_ex(name: &'static str, v: f64, trace_id: u64) {
 }
 
 /// Records one execution of a kernel with the given shape. Aggregated per
-/// exact `(op, dims)` key and exported as `"type":"shape"` JSONL records —
-/// the replay input for the offline kernel tuner
-/// (`bench_kernels --replay`).
+/// exact `(op, dims)` key and exported as `"type":"shape"` JSONL records.
+/// The matmul-family entry points emit one per call; the benchmark reads
+/// them to compute each kernel's GFLOP/s, bytes/s and roofline fraction.
+/// No tuner replays them: every op runs one kernel.
 #[inline]
 pub fn shape_record(op: &'static str, dims: [usize; 4]) {
     if !enabled() {

@@ -22,7 +22,6 @@
 
 mod autograd;
 pub mod chk;
-pub mod dispatch;
 pub mod init;
 mod matrix;
 pub mod optim;

@@ -353,15 +353,24 @@ impl Matrix {
 
     /// Matrix product `self * other`.
     ///
-    /// The single hottest kernel in the whole stack. Runs one of two
-    /// bitwise-identical variants chosen by [`crate::dispatch`]: the scalar
-    /// ikj reference loop or a register-blocked microkernel (see
-    /// `ops/microkernel.rs`). Output rows are independent, so they are
-    /// split across worker threads (see [`crate::parallel`]); every variant
-    /// preserves the per-element accumulation order, making the result
-    /// bitwise equal for any thread count *and* any `AUTOAC_KERNEL`
-    /// setting.
+    /// The single hottest kernel in the whole stack. Runs the
+    /// register-blocked microkernel (see `ops/microkernel.rs`); output rows
+    /// are independent, so they are split across worker threads (see
+    /// [`crate::parallel`]). The kernel keeps the scalar ikj loop's
+    /// per-element accumulation order, so the result is bitwise equal to
+    /// `Matrix::matmul_reference` at any thread count.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
+        self.matmul_with(other, microkernel::matmul_blocked)
+    }
+
+    /// [`Matrix::matmul`] on the scalar reference kernel: the bitwise
+    /// oracle for the parity harness and `bench_kernels`.
+    #[doc(hidden)]
+    pub fn matmul_reference(&self, other: &Matrix) -> Matrix {
+        self.matmul_with(other, microkernel::matmul_scalar)
+    }
+
+    fn matmul_with(&self, other: &Matrix, kernel: microkernel::MatmulKernel) -> Matrix {
         assert_eq!(
             self.cols, other.rows,
             "matmul: inner dimension mismatch {:?} vs {:?}",
@@ -370,13 +379,9 @@ impl Matrix {
         );
         let _obs = autoac_obs::span("matmul");
         let (m, k, n) = (self.rows, self.cols, other.cols);
+        autoac_obs::shape_record("matmul", [m, k, n, 0]);
         let (mut out, zeroed) = Matrix::accum_scratch(m, n);
         let work = m.saturating_mul(k).saturating_mul(n);
-        let variant = crate::dispatch::select(crate::dispatch::KernelOp::MatMul, m, k, n, None);
-        let kernel = match variant {
-            crate::dispatch::Variant::Scalar => microkernel::matmul_scalar,
-            crate::dispatch::Variant::Blocked => microkernel::matmul_blocked,
-        };
         crate::parallel::for_each_row_chunk(&mut out.data, n, work, |first_row, chunk| {
             kernel(&self.data, &other.data, k, n, first_row, chunk, zeroed);
         });
@@ -387,9 +392,20 @@ impl Matrix {
     ///
     /// Hot in backward passes (`dW = Xᵀ·dY`). Parallel over output rows;
     /// every output element accumulates its `p`-terms in ascending order —
-    /// the same order as the serial kernel — so results stay bitwise equal
-    /// at any thread count and for either [`crate::dispatch`] variant.
+    /// the same order as the serial scalar kernel — so results are bitwise
+    /// equal to `Matrix::matmul_tn_reference` at any thread count.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        self.matmul_tn_with(other, microkernel::matmul_tn_blocked)
+    }
+
+    /// [`Matrix::matmul_tn`] on the scalar reference kernel: the bitwise
+    /// oracle for the parity harness and `bench_kernels`.
+    #[doc(hidden)]
+    pub fn matmul_tn_reference(&self, other: &Matrix) -> Matrix {
+        self.matmul_tn_with(other, microkernel::matmul_tn_scalar)
+    }
+
+    fn matmul_tn_with(&self, other: &Matrix, kernel: microkernel::MatmulTnKernel) -> Matrix {
         assert_eq!(
             self.rows, other.rows,
             "matmul_tn: leading dimension mismatch {:?} vs {:?}",
@@ -398,13 +414,9 @@ impl Matrix {
         );
         let _obs = autoac_obs::span("matmul_tn");
         let (k, m, n) = (self.rows, self.cols, other.cols);
+        autoac_obs::shape_record("matmul_tn", [m, k, n, 0]);
         let (mut out, zeroed) = Matrix::accum_scratch(m, n);
         let work = k.saturating_mul(m).saturating_mul(n);
-        let variant = crate::dispatch::select(crate::dispatch::KernelOp::MatMulTn, m, k, n, None);
-        let kernel = match variant {
-            crate::dispatch::Variant::Scalar => microkernel::matmul_tn_scalar,
-            crate::dispatch::Variant::Blocked => microkernel::matmul_tn_blocked,
-        };
         crate::parallel::for_each_row_chunk(&mut out.data, n, work, |first_row, chunk| {
             kernel(&self.data, &other.data, k, m, n, first_row, chunk, zeroed);
         });
@@ -414,9 +426,21 @@ impl Matrix {
     /// `self * otherᵀ` without materializing the transpose.
     ///
     /// Hot in backward passes (`dX = dY·Wᵀ`). Output rows are independent
-    /// dot products, split across worker threads; both [`crate::dispatch`]
-    /// variants keep each dot's sequential accumulation order.
+    /// dot products, split across worker threads; the blocked kernel keeps
+    /// each dot's sequential accumulation order, so results are bitwise
+    /// equal to `Matrix::matmul_nt_reference` at any thread count.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
+        self.matmul_nt_with(other, microkernel::matmul_nt_blocked)
+    }
+
+    /// [`Matrix::matmul_nt`] on the scalar reference kernel: the bitwise
+    /// oracle for the parity harness and `bench_kernels`.
+    #[doc(hidden)]
+    pub fn matmul_nt_reference(&self, other: &Matrix) -> Matrix {
+        self.matmul_nt_with(other, microkernel::matmul_nt_scalar)
+    }
+
+    fn matmul_nt_with(&self, other: &Matrix, kernel: microkernel::MatmulNtKernel) -> Matrix {
         assert_eq!(
             self.cols, other.cols,
             "matmul_nt: trailing dimension mismatch {:?} vs {:?}",
@@ -425,13 +449,9 @@ impl Matrix {
         );
         let _obs = autoac_obs::span("matmul_nt");
         let (m, k, n) = (self.rows, self.cols, other.rows);
+        autoac_obs::shape_record("matmul_nt", [m, k, n, 0]);
         let mut out = Matrix::scratch(m, n);
         let work = m.saturating_mul(k).saturating_mul(n);
-        let variant = crate::dispatch::select(crate::dispatch::KernelOp::MatMulNt, m, k, n, None);
-        let kernel = match variant {
-            crate::dispatch::Variant::Scalar => microkernel::matmul_nt_scalar,
-            crate::dispatch::Variant::Blocked => microkernel::matmul_nt_blocked,
-        };
         crate::parallel::for_each_row_chunk(&mut out.data, n, work, |first_row, chunk| {
             kernel(&self.data, &other.data, k, n, first_row, chunk);
         });

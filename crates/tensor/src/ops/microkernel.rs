@@ -1,13 +1,21 @@
 //! Register-blocked microkernels for the dense/sparse matmul family.
 //!
-//! Each public kernel here exists in two variants sharing one contract:
+//! Each kernel here exists in two variants sharing one contract:
 //!
+//! - `*_blocked` — register-blocked loops (MR×NR output tiles held in
+//!   local `[f32; NR]` accumulators). These are the only kernels the
+//!   public ops run: [`crate::Matrix::matmul`], `matmul_tn`, `matmul_nt`
+//!   and [`crate::Csr::matmul_dense`].
 //! - `*_scalar` — the original streaming loops, kept verbatim as the
-//!   reference implementation.
-//! - `*_blocked` — register-blocked versions (MR×NR output tiles held in
-//!   local `[f32; NR]` accumulators) that compute **the same floating-point
-//!   operations in the same order per output element** and are therefore
-//!   bitwise equal to the scalar variant.
+//!   bitwise oracle. Only the doc-hidden `*_reference` twins of the ops
+//!   run them, for the parity harness (`tests/kernel_parity.rs`) and
+//!   `bench_kernels`.
+//!
+//! The blocked variants compute **the same floating-point operations in
+//! the same order per output element** and are therefore bitwise equal to
+//! the scalar ones. autoac-lint's `dispatch-parity-coverage` rule reads
+//! the `*_scalar` / `*_blocked` fn names in this file and requires each to
+//! be named in the parity harness.
 //!
 //! # Why blocking is bitwise-safe here
 //!
@@ -73,6 +81,22 @@ pub(crate) const NRW: usize = 32;
 
 /// Row-tile height for the wide pass.
 pub(crate) const MR2: usize = 2;
+
+/// `(a, b, k, n, first_row, chunk, zeroed)`: the [`matmul_scalar`] /
+/// [`matmul_blocked`] signature.
+pub(crate) type MatmulKernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32], bool);
+
+/// `(a, b, k, m, n, first_row, chunk, zeroed)`: the [`matmul_tn_scalar`] /
+/// [`matmul_tn_blocked`] signature.
+pub(crate) type MatmulTnKernel = fn(&[f32], &[f32], usize, usize, usize, usize, &mut [f32], bool);
+
+/// `(a, b, k, n, first_row, chunk)`: the [`matmul_nt_scalar`] /
+/// [`matmul_nt_blocked`] signature.
+pub(crate) type MatmulNtKernel = fn(&[f32], &[f32], usize, usize, usize, &mut [f32]);
+
+/// `(indptr, indices, values, x, n, first_row, chunk, zeroed)`: the
+/// [`spmm_scalar`] / [`spmm_blocked`] signature.
+pub(crate) type SpmmKernel = fn(&[usize], &[u32], &[f32], &[f32], usize, usize, &mut [f32], bool);
 
 // ---------------------------------------------------------------------
 // matmul: C[m×n] = A[m×k] · B[k×n]

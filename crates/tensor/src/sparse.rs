@@ -236,11 +236,23 @@ impl Csr {
 
     /// Dense sparse-dense product `A · X` on raw matrices.
     ///
-    /// Output rows are independent (`out[r] = Σ A[r,c] · X[c]`), so they are
-    /// split across worker threads (see [`crate::parallel`]); each row runs
-    /// the identical serial accumulation, making the result bitwise equal
-    /// for any thread count.
+    /// Runs the register-blocked microkernel. Output rows are independent
+    /// (`out[r] = Σ A[r,c] · X[c]`), so they are split across worker
+    /// threads (see [`crate::parallel`]); each row accumulates its
+    /// nonzeros in storage order, making the result bitwise equal to
+    /// `Csr::matmul_dense_reference` at any thread count.
     pub fn matmul_dense(&self, x: &Matrix) -> Matrix {
+        self.matmul_dense_with(x, microkernel::spmm_blocked)
+    }
+
+    /// [`Csr::matmul_dense`] on the scalar reference kernel: the bitwise
+    /// oracle for the parity harness and `bench_kernels`.
+    #[doc(hidden)]
+    pub fn matmul_dense_reference(&self, x: &Matrix) -> Matrix {
+        self.matmul_dense_with(x, microkernel::spmm_scalar)
+    }
+
+    fn matmul_dense_with(&self, x: &Matrix, kernel: microkernel::SpmmKernel) -> Matrix {
         assert_eq!(
             self.n_cols,
             x.rows(),
@@ -250,19 +262,9 @@ impl Csr {
         );
         let _obs = autoac_obs::span("spmm");
         let cols = x.cols();
+        autoac_obs::shape_record("spmm", [self.n_rows, self.n_cols, cols, self.nnz()]);
         let (mut out, zeroed) = Matrix::accum_scratch(self.n_rows, cols);
         let work = self.nnz().saturating_mul(cols);
-        let variant = crate::dispatch::select(
-            crate::dispatch::KernelOp::Spmm,
-            self.n_rows,
-            self.n_cols,
-            cols,
-            Some(self.nnz()),
-        );
-        let kernel = match variant {
-            crate::dispatch::Variant::Scalar => microkernel::spmm_scalar,
-            crate::dispatch::Variant::Blocked => microkernel::spmm_blocked,
-        };
         crate::parallel::for_each_row_chunk(out.data_mut(), cols, work, |first_row, chunk| {
             kernel(
                 &self.indptr,

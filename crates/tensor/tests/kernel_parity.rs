@@ -1,31 +1,29 @@
-//! Property-style parity harness for the kernel dispatch variants.
+//! Property-style parity harness for the matmul-family kernels.
 //!
-//! The contract under test is the one `crates/tensor/src/dispatch.rs`
-//! documents: for *any* shape and *any* thread count, every op in the
-//! matmul family produces bitwise identical results whether the scalar
-//! kernel, the blocked kernel, or the auto table runs. Shapes are drawn
-//! from an adversarial generator biased toward the places kernels break —
+//! Every public op runs its register-blocked microkernel; its doc-hidden
+//! `*_reference` twin runs the scalar kernel through the same entry code.
+//! The contract under test: for *any* shape and *any* thread count, each
+//! op is bitwise equal to its serial reference. Shapes are drawn from an
+//! adversarial generator biased toward the places kernels break —
 //! tile-width boundaries (NR = 8, NRW = 32, MR edges), the KC = 256
 //! k-slab seam, single-row/column outputs — and the data generator
 //! sprinkles exact `0.0` and `-0.0` to exercise the zero-skip path whose
 //! removal would *not* be bitwise neutral.
 //!
-//! Variant coverage (checked by the `dispatch-parity-coverage` lint):
+//! Kernel coverage (checked by the `dispatch-parity-coverage` lint):
 //! matmul_scalar vs matmul_blocked, matmul_tn_scalar vs matmul_tn_blocked,
 //! matmul_nt_scalar vs matmul_nt_blocked, and spmm_scalar vs spmm_blocked,
 //! each at 1, 2, and 8 threads.
 
-use autoac_tensor::dispatch::{with_kernel, KernelChoice};
 use autoac_tensor::parallel::with_threads;
 use autoac_tensor::{Csr, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-const CHOICES: [KernelChoice; 3] =
-    [KernelChoice::Scalar, KernelChoice::Blocked, KernelChoice::Auto];
 
-/// Cases per op. Each case runs 3 choices × 3 thread counts.
+/// Cases per op. Each case runs the op and its reference at 3 thread
+/// counts.
 const CASES: usize = 25;
 
 /// Dimensions clustered on power-of-two tile boundaries ±1 — the places
@@ -82,15 +80,22 @@ fn assert_bitwise(want: &Matrix, got: &Matrix, what: &str) {
     }
 }
 
-/// Runs `f` under every (kernel choice, thread count) pair and asserts all
-/// nine results are bitwise equal to the serial scalar reference.
-fn check_all_variants(what: &str, f: impl Fn() -> Matrix) {
-    let reference = with_threads(1, || with_kernel(KernelChoice::Scalar, &f));
-    for choice in CHOICES {
-        for nt in THREAD_COUNTS {
-            let got = with_threads(nt, || with_kernel(choice, &f));
-            assert_bitwise(&reference, &got, &format!("{what} [{choice:?} @ {nt} threads]"));
-        }
+/// An op and its scalar `*_reference` twin, both `(lhs, rhs) -> out`.
+type Op<A> = (fn(&A, &Matrix) -> Matrix, fn(&A, &Matrix) -> Matrix);
+const MATMUL: Op<Matrix> = (Matrix::matmul, Matrix::matmul_reference);
+const MATMUL_TN: Op<Matrix> = (Matrix::matmul_tn, Matrix::matmul_tn_reference);
+const MATMUL_NT: Op<Matrix> = (Matrix::matmul_nt, Matrix::matmul_nt_reference);
+const SPMM: Op<Csr> = (Csr::matmul_dense, Csr::matmul_dense_reference);
+
+/// Runs the op and its reference at every thread count and asserts all
+/// six results are bitwise equal to the serial reference.
+fn check<A>((op, reference): Op<A>, lhs: &A, rhs: &Matrix, what: &str) {
+    let want = with_threads(1, || reference(lhs, rhs));
+    for nt in THREAD_COUNTS {
+        let got = with_threads(nt, || op(lhs, rhs));
+        assert_bitwise(&want, &got, &format!("{what} [blocked @ {nt} threads]"));
+        let again = with_threads(nt, || reference(lhs, rhs));
+        assert_bitwise(&want, &again, &format!("{what} [reference @ {nt} threads]"));
     }
 }
 
@@ -102,7 +107,7 @@ fn matmul_scalar_and_matmul_blocked_agree_on_adversarial_shapes() {
             (adversarial_dim(&mut rng), adversarial_dim(&mut rng), adversarial_dim(&mut rng));
         let a = adversarial_matrix(&mut rng, m, k);
         let b = adversarial_matrix(&mut rng, k, n);
-        check_all_variants(&format!("matmul case {case}: {m}x{k}x{n}"), || a.matmul(&b));
+        check(MATMUL, &a, &b, &format!("matmul case {case}: {m}x{k}x{n}"));
     }
 }
 
@@ -114,7 +119,7 @@ fn matmul_tn_scalar_and_matmul_tn_blocked_agree_on_adversarial_shapes() {
             (adversarial_dim(&mut rng), adversarial_dim(&mut rng), adversarial_dim(&mut rng));
         let a = adversarial_matrix(&mut rng, k, m);
         let b = adversarial_matrix(&mut rng, k, n);
-        check_all_variants(&format!("matmul_tn case {case}: {m}x{k}x{n}"), || a.matmul_tn(&b));
+        check(MATMUL_TN, &a, &b, &format!("matmul_tn case {case}: {m}x{k}x{n}"));
     }
 }
 
@@ -126,7 +131,7 @@ fn matmul_nt_scalar_and_matmul_nt_blocked_agree_on_adversarial_shapes() {
             (adversarial_dim(&mut rng), adversarial_dim(&mut rng), adversarial_dim(&mut rng));
         let a = adversarial_matrix(&mut rng, m, k);
         let b = adversarial_matrix(&mut rng, n, k);
-        check_all_variants(&format!("matmul_nt case {case}: {m}x{k}x{n}"), || a.matmul_nt(&b));
+        check(MATMUL_NT, &a, &b, &format!("matmul_nt case {case}: {m}x{k}x{n}"));
     }
 }
 
@@ -138,18 +143,15 @@ fn spmm_scalar_and_spmm_blocked_agree_on_adversarial_shapes() {
             (adversarial_dim(&mut rng), adversarial_dim(&mut rng), adversarial_dim(&mut rng));
         let a = adversarial_csr(&mut rng, m, k);
         let x = adversarial_matrix(&mut rng, k, n);
-        check_all_variants(
-            &format!("spmm case {case}: {m}x{k}x{n} nnz={}", a.nnz()),
-            || a.matmul_dense(&x),
-        );
+        check(SPMM, &a, &x, &format!("spmm case {case}: {m}x{k}x{n} nnz={}", a.nnz()));
     }
 }
 
 #[test]
-fn env_override_shapes_are_covered_by_fixed_seams() {
+fn fixed_seam_shapes_match_the_reference() {
     // Deterministic seam shapes that the random draw might miss: exact
     // tile widths, one past them, the KC k-slab boundary, and n = 1
-    // (the column-vector case the dispatch table keeps scalar).
+    // column-vector outputs with k past KC (attention-score products).
     let mut rng = StdRng::seed_from_u64(0xAC05);
     for (m, k, n) in [
         (4, 256, 32),
@@ -157,17 +159,51 @@ fn env_override_shapes_are_covered_by_fixed_seams() {
         (2, 512, 40),
         (8, 300, 8),
         (3, 300, 1),
+        (64, 300, 1),
+        (5, 257, 1),
         (1, 1, 1),
         (9, 16, 7),
     ] {
         let a = adversarial_matrix(&mut rng, m, k);
         let b = adversarial_matrix(&mut rng, k, n);
-        check_all_variants(&format!("seam matmul {m}x{k}x{n}"), || a.matmul(&b));
+        check(MATMUL, &a, &b, &format!("seam matmul {m}x{k}x{n}"));
         let at = adversarial_matrix(&mut rng, k, m);
-        check_all_variants(&format!("seam matmul_tn {m}x{k}x{n}"), || at.matmul_tn(&b));
+        check(MATMUL_TN, &at, &b, &format!("seam matmul_tn {m}x{k}x{n}"));
         let bt = adversarial_matrix(&mut rng, n, k);
-        check_all_variants(&format!("seam matmul_nt {m}x{k}x{n}"), || a.matmul_nt(&bt));
+        check(MATMUL_NT, &a, &bt, &format!("seam matmul_nt {m}x{k}x{n}"));
         let s = adversarial_csr(&mut rng, m, k);
-        check_all_variants(&format!("seam spmm {m}x{k}x{n}"), || s.matmul_dense(&b));
+        check(SPMM, &s, &b, &format!("seam spmm {m}x{k}x{n}"));
+    }
+}
+
+/// A CSR block with average degree under 4: most rows hold 1–3 nonzeros
+/// and every fifth row is empty (isolated nodes in a sampled batch).
+fn low_degree_csr(rng: &mut StdRng, rows: usize, cols: usize) -> Csr {
+    let mut coo = Vec::new();
+    for r in 0..rows {
+        if r % 5 == 0 {
+            continue;
+        }
+        for _ in 0..rng.gen_range(1..4) {
+            coo.push((r as u32, rng.gen_range(0..cols) as u32, rng.gen_range(-1.0f32..1.0)));
+        }
+    }
+    Csr::from_coo(rows, cols, coo)
+}
+
+#[test]
+fn low_degree_spmm_matches_the_reference() {
+    // The sampled-batch and low-degree relation shapes that take the
+    // blocked spmm kernel: average degree under 4, empty rows, and
+    // n = 8, 32 and 64 (one panel, several panels, the hidden width).
+    let mut rng = StdRng::seed_from_u64(0xAC06);
+    for (rows, cols) in [(300, 300), (97, 1000), (1024, 257)] {
+        let a = low_degree_csr(&mut rng, rows, cols);
+        assert!(a.nnz() < 4 * rows, "average degree must stay under 4");
+        assert!((0..rows).any(|r| a.row_nnz(r) == 0), "some rows must be empty");
+        for n in [8, 32, 64] {
+            let x = adversarial_matrix(&mut rng, cols, n);
+            check(SPMM, &a, &x, &format!("low-degree spmm {rows}x{cols}x{n} nnz={}", a.nnz()));
+        }
     }
 }

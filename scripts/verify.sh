@@ -30,11 +30,11 @@
 #    export an OBS_smoke.jsonl that parses line by line and carries the
 #    promised span tree and trajectory series (the binary self-validates
 #    and exits non-zero on any miss);
-#  - the kernel dispatch pass: the same short search + retrain pinned to
-#    AUTOAC_KERNEL=scalar, =blocked, and =auto must produce byte-identical
-#    result digests (the microkernels' bitwise-equality contract, end to
-#    end), plus a bench_kernels smoke run that A/B-times every kernel pair
-#    and asserts bitwise parity on each measured shape;
+#  - the kernel pass: a bench_kernels smoke run that A/B-times every
+#    blocked kernel against its scalar reference and asserts bitwise
+#    parity on each measured shape at 1, 2 and 8 threads (end to end,
+#    crates/core/tests/run_loop_digests.rs pins the trajectories the
+#    scalar kernels produced);
 #  - the serving pass: an autoac_serve daemon is launched on an ephemeral
 #    port from a freshly trained checkpoint and driven with concurrent
 #    closed-loop clients (serve_bench --connect) twice — batching on and
@@ -49,6 +49,11 @@
 #    (request-scoped tracing is bitwise-invisible), and the flight-
 #    recorder dump every daemon leaves on shutdown must parse as strict
 #    JSONL (serve_bench --validate-flight).
+#  - the benchmark pass: the end-to-end benchmark package (benchmark/,
+#    not a workspace member) is built into .bench_build, its unit tests
+#    run, and its --smoke run must report every workload correct with no
+#    failed operations — so a change to an API or obs record the
+#    benchmark reads fails here, not first in a benchmark run.
 #
 # The test suites run under AUTOAC_SLOW_TESTS=1: the default (fast) test
 # profile shrinks end-to-end budgets for interactive iteration; verify is
@@ -157,15 +162,7 @@ diff "$WORK/obs_off.json" "$WORK/obs_on.json" \
   || { echo "verify.sh: FAIL — AUTOAC_OBS=1 perturbed the training trajectory"; exit 1; }
 echo "   AUTOAC_OBS=1 digest is byte-identical to AUTOAC_OBS=0; OBS_smoke.jsonl validated"
 
-echo "== kernel dispatch pass (AUTOAC_KERNEL digest identity + bench_kernels smoke) =="
-for kernel in scalar blocked auto; do
-  AUTOAC_KERNEL="$kernel" "$OBS_SMOKE" "${OBS_ARGS[@]}" --out "$WORK/kernel_$kernel.json"
-done
-diff "$WORK/kernel_scalar.json" "$WORK/kernel_blocked.json" \
-  || { echo "verify.sh: FAIL — blocked kernels diverged from scalar end to end"; exit 1; }
-diff "$WORK/kernel_scalar.json" "$WORK/kernel_auto.json" \
-  || { echo "verify.sh: FAIL — auto dispatch diverged from scalar end to end"; exit 1; }
-echo "   AUTOAC_KERNEL=scalar/blocked/auto digests are byte-identical"
+echo "== kernel pass (bench_kernels smoke: blocked vs reference parity) =="
 # Smoke-scale A/B bench: asserts bitwise kernel parity on every measured
 # shape (the committed results/BENCH_kernels.json comes from a full run).
 ./target/release/bench_kernels --smoke 1 --out "$WORK/bench_kernels_smoke.json" \
@@ -227,4 +224,17 @@ for run in serve_digest_batched serve_digest_single serve_digest_untraced; do
     || { echo "verify.sh: FAIL — flight dump for $run is missing or malformed"; exit 1; }
 done
 
-echo "verify.sh: all suites passed with pool off+serial and pool on+parallel; kill-and-resume, bench_alloc, sharding, obs smoke, kernel dispatch, serving, and tracing OK"
+echo "== benchmark pass (benchmark/ unit tests + --smoke) =="
+# Its own target dir (gitignored): benchmark/ is a separate package.
+CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \
+  --manifest-path benchmark/Cargo.toml \
+  || { echo "verify.sh: FAIL — benchmark unit tests failed"; exit 1; }
+BENCH_LAST="$(CARGO_TARGET_DIR=.bench_build cargo run -q --release --offline \
+  --manifest-path benchmark/Cargo.toml -- --smoke | tail -n 1)" \
+  || { echo "verify.sh: FAIL — benchmark --smoke exited non-zero"; exit 1; }
+grep -q '"correct":true' <<< "$BENCH_LAST" && grep -Eq '"failed":0[,}]' <<< "$BENCH_LAST" \
+  || { echo "verify.sh: FAIL — benchmark --smoke was incorrect or had failed operations:"; \
+       echo "$BENCH_LAST"; exit 1; }
+echo "   benchmark --smoke: correct, 0 failed"
+
+echo "verify.sh: all suites passed with pool off+serial and pool on+parallel; kill-and-resume, bench_alloc, sharding, obs smoke, kernels, serving, tracing, and the benchmark smoke OK"
