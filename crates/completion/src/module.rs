@@ -35,59 +35,14 @@ pub fn restrict_rows(csr: &Csr, rows: &[u32]) -> Csr {
 /// `weights` is `(N⁻, |O|)`; gradients flow into the weights, every op's
 /// parameters, and `x0`.
 pub fn complete_mixture(ops: &CompletionOps, x0: &Tensor, weights: &Tensor) -> Tensor {
-    let ctx = ops.ctx();
-    assert_eq!(
-        weights.shape(),
-        (ctx.num_missing(), CompletionOp::ALL.len()),
-        "complete_mixture: weight shape mismatch"
-    );
-    if ctx.num_missing() == 0 {
-        return x0.clone();
-    }
-    let outputs = ops.all_op_outputs(x0);
-    let mut completed: Option<Tensor> = None;
-    for (o, out) in outputs.iter().enumerate() {
-        let w = weights.slice_cols(o, 1); // (N⁻, 1)
-        let term = out.mul_col_vec(&w);
-        completed = Some(match completed {
-            Some(acc) => acc.add(&term),
-            None => term,
-        });
-    }
-    let completed = completed.expect("|O| > 0");
-    x0.add(&completed.scatter_add_rows(&ctx.missing, ctx.num_nodes))
+    complete_mixture_in(ops, ops.ctx(), ops.identity_rows(), x0, weights)
 }
 
 /// Completes the zero rows of `x0` with one discrete op per `V⁻` node
 /// (the lower-level optimization of Algorithm 1: only *activated* ops are
 /// evaluated — ops assigned to no node cost nothing).
 pub fn complete_assigned(ops: &CompletionOps, x0: &Tensor, assignment: &[CompletionOp]) -> Tensor {
-    let ctx = ops.ctx();
-    assert_eq!(
-        assignment.len(),
-        ctx.num_missing(),
-        "complete_assigned: assignment length mismatch"
-    );
-    if ctx.num_missing() == 0 {
-        return x0.clone();
-    }
-    let mut result = x0.clone();
-    for &op in &CompletionOp::ALL {
-        // Positions (within the missing list) assigned to this op.
-        let positions: Vec<u32> = assignment
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a == op).then_some(i as u32))
-            .collect();
-        if positions.is_empty() {
-            continue;
-        }
-        let out = ops.op_output(op, x0); // (N⁻, d)
-        let rows = out.gather_rows(&positions);
-        let globals: Vec<u32> = positions.iter().map(|&p| ctx.missing[p as usize]).collect();
-        result = result.add(&rows.scatter_add_rows(&globals, ctx.num_nodes));
-    }
-    result
+    complete_assigned_in(ops, ops.ctx(), ops.identity_rows(), x0, assignment)
 }
 
 /// Completes with a single op for every `V⁻` node (the Table VI/VII
@@ -112,7 +67,7 @@ pub fn complete_mixture_in(
     assert_eq!(
         weights.shape(),
         (ctx.num_missing(), CompletionOp::ALL.len()),
-        "complete_mixture_in: weight shape mismatch"
+        "complete_mixture: weight shape mismatch"
     );
     if ctx.num_missing() == 0 {
         return x0.clone();
@@ -120,7 +75,7 @@ pub fn complete_mixture_in(
     let outputs = ops.all_op_outputs_in(ctx, onehot_rows, x0);
     let mut completed: Option<Tensor> = None;
     for (o, out) in outputs.iter().enumerate() {
-        let w = weights.slice_cols(o, 1); // (n⁻_sub, 1)
+        let w = weights.slice_cols(o, 1); // (N⁻, 1)
         let term = out.mul_col_vec(&w);
         completed = Some(match completed {
             Some(acc) => acc.add(&term),
@@ -132,7 +87,8 @@ pub fn complete_mixture_in(
 }
 
 /// [`complete_assigned`] against an external (subgraph) context; see
-/// [`complete_mixture_in`] for the id-space conventions.
+/// [`complete_mixture_in`] for the id-space conventions. Each op
+/// transforms only the rows assigned to it.
 pub fn complete_assigned_in(
     ops: &CompletionOps,
     ctx: &crate::ops::CompletionContext,
@@ -143,25 +99,26 @@ pub fn complete_assigned_in(
     assert_eq!(
         assignment.len(),
         ctx.num_missing(),
-        "complete_assigned_in: assignment length mismatch"
+        "complete_assigned: assignment length mismatch"
     );
-    if ctx.num_missing() == 0 {
-        return x0.clone();
-    }
+    assert_eq!(
+        onehot_rows.len(),
+        ctx.num_missing(),
+        "complete_assigned: onehot_rows must map every missing node of the context"
+    );
     let mut result = x0.clone();
     for &op in &CompletionOp::ALL {
-        let positions: Vec<u32> = assignment
+        // The missing nodes assigned to this op and their one-hot rows.
+        let (nodes, table_rows): (Vec<u32>, Vec<u32>) = assignment
             .iter()
-            .enumerate()
-            .filter_map(|(i, &a)| (a == op).then_some(i as u32))
-            .collect();
-        if positions.is_empty() {
+            .zip(ctx.missing.iter().zip(onehot_rows))
+            .filter_map(|(&a, (&v, &t))| (a == op).then_some((v, t)))
+            .unzip();
+        if nodes.is_empty() {
             continue;
         }
-        let out = ops.op_output_in(ctx, onehot_rows, op, x0); // (n⁻_sub, d)
-        let rows = out.gather_rows(&positions);
-        let globals: Vec<u32> = positions.iter().map(|&p| ctx.missing[p as usize]).collect();
-        result = result.add(&rows.scatter_add_rows(&globals, ctx.num_nodes));
+        let rows = ops.op_rows(ctx, op, x0, &nodes, &table_rows);
+        result = result.add(&rows.scatter_add_rows(&nodes, ctx.num_nodes));
     }
     result
 }
@@ -171,7 +128,7 @@ mod tests {
     use super::*;
     use crate::ops::CompletionContext;
     use autoac_graph::HeteroGraph;
-    use autoac_tensor::Matrix;
+    use autoac_tensor::{spmm, Matrix};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -334,6 +291,127 @@ mod tests {
         let g = ops.op_params(CompletionOp::OneHot)[0].grad().expect("onehot grad");
         assert!(g.row(1).iter().any(|&v| v != 0.0), "sampled row must get a gradient");
         assert!(g.row(0).iter().all(|&v| v == 0.0), "unsampled row must stay zero");
+    }
+
+    /// The whole-graph formulation `complete_assigned` replaced: each
+    /// assigned op evaluates its whole `(N⁻, d)` output, then gathers the
+    /// rows assigned to it.
+    fn whole_output_then_gather(
+        ops: &CompletionOps,
+        x0: &Tensor,
+        assignment: &[CompletionOp],
+    ) -> Tensor {
+        let ctx = ops.ctx();
+        let mut result = x0.clone();
+        for &op in &CompletionOp::ALL {
+            let positions: Vec<u32> = (0..assignment.len() as u32)
+                .filter(|&i| assignment[i as usize] == op)
+                .collect();
+            if positions.is_empty() {
+                continue;
+            }
+            let w = &ops.op_params(op)[0];
+            let whole = match op {
+                CompletionOp::Mean => spmm(&ctx.mean_agg, &ctx.mean_agg_t, x0).matmul(w),
+                CompletionOp::Gcn => spmm(&ctx.gcn_agg, &ctx.gcn_agg_t, x0).matmul(w),
+                CompletionOp::Ppnp => autoac_graph::ppr::ppnp_propagate(
+                    &ctx.sym_adj,
+                    &x0.matmul(w),
+                    ops.ppnp_alpha,
+                    ops.ppnp_k,
+                ),
+                CompletionOp::OneHot => w.clone(),
+            };
+            let whole =
+                if op == CompletionOp::OneHot { whole } else { whole.gather_rows(&ctx.missing) };
+            let globals: Vec<u32> = positions.iter().map(|&p| ctx.missing[p as usize]).collect();
+            let rows = whole.gather_rows(&positions);
+            result = result.add(&rows.scatter_add_rows(&globals, ctx.num_nodes));
+        }
+        result
+    }
+
+    fn bits(m: &Matrix) -> Vec<u32> {
+        m.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn assigned_completion_transforms_only_its_rows_bit_for_bit() {
+        use autoac_data::{presets, synth, Scale};
+        use rand::Rng;
+        use std::collections::BTreeMap;
+
+        let data = synth::generate(&presets::dblp(), Scale::Tiny, 3);
+        let has = data.has_attr();
+        let n = data.graph.num_nodes();
+        let dim = 8;
+        let mut rng = StdRng::seed_from_u64(11);
+        let ops = CompletionOps::new(CompletionContext::build(&data.graph, &has), dim, &mut rng);
+        let n_minus = ops.ctx().num_missing();
+        assert!(n_minus > 8, "the fixture needs missing nodes");
+        // A trainable projected block with zero rows at missing nodes.
+        let mut x0m = autoac_tensor::init::random_normal(n, dim, 1.0, &mut rng);
+        for &v in &ops.ctx().missing {
+            x0m.row_mut(v as usize).fill(0.0);
+        }
+        let x0 = Tensor::param(x0m);
+        let seed = autoac_tensor::init::random_normal(n, dim, 1.0, &mut rng);
+
+        let mut assignments: Vec<Vec<CompletionOp>> = Vec::new();
+        for &op in &CompletionOp::ALL {
+            // All rows, and one row (the rest to the next op).
+            assignments.push(vec![op; n_minus]);
+            let next = CompletionOp::from_index((op.index() + 1) % 4);
+            let mut one = vec![next; n_minus];
+            one[n_minus / 3] = op;
+            assignments.push(one);
+        }
+        // Some rows of every op.
+        let mixed = (0..n_minus).map(|_| CompletionOp::from_index(rng.gen_range(0..4)));
+        assignments.push(mixed.collect());
+
+        let grads = |f: &dyn Fn() -> Tensor| {
+            for p in ops.params().iter().chain([&x0]) {
+                p.zero_grad();
+            }
+            let out = f();
+            out.backward_with(seed.clone());
+            let mut all = vec![out.to_matrix()];
+            all.extend(ops.params().iter().chain([&x0]).map(|p| {
+                p.grad().unwrap_or_else(|| Matrix::zeros(0, 0))
+            }));
+            all
+        };
+        for assignment in &assignments {
+            let got = grads(&|| complete_assigned(&ops, &x0, assignment));
+            let want = grads(&|| whole_output_then_gather(&ops, &x0, assignment));
+            for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                // 0: the completed block; 1-4: op parameters; 5: x0.
+                assert_eq!(bits(g), bits(w), "assignment {assignment:?}: tensor {k}");
+            }
+
+            // Mean and GCN transform exactly their assigned rows; PPNP
+            // transforms the whole graph before it propagates.
+            let count = |op| assignment.iter().filter(|&&a| a == op).count();
+            let mut want: BTreeMap<[usize; 4], usize> = BTreeMap::new();
+            for op in [CompletionOp::Mean, CompletionOp::Gcn] {
+                if count(op) > 0 {
+                    *want.entry([count(op), dim, dim, 0]).or_default() += 1;
+                }
+            }
+            if count(CompletionOp::Ppnp) > 0 {
+                *want.entry([n, dim, dim, 0]).or_default() += 1;
+            }
+            let _ = autoac_obs::drain();
+            autoac_obs::with_obs(true, || complete_assigned(&ops, &x0, assignment));
+            let matmuls: BTreeMap<[usize; 4], usize> = autoac_obs::drain()
+                .shapes
+                .iter()
+                .filter(|(k, _)| k.op == "matmul")
+                .map(|(k, &c)| (k.dims, c as usize))
+                .collect();
+            assert_eq!(matmuls, want, "matmul shapes of {assignment:?}");
+        }
     }
 
     #[test]

@@ -119,6 +119,9 @@ impl CompletionContext {
 /// op's completed attributes for every `V⁻` node.
 pub struct CompletionOps {
     ctx: CompletionContext,
+    /// `0..N⁻`: the one-hot table row of each missing node of `ctx`, the
+    /// `onehot_rows` the whole-graph entry points pass to their `_in` twins.
+    identity: Vec<u32>,
     w_mean: crate::module::Transform,
     w_gcn: crate::module::Transform,
     w_ppnp: crate::module::Transform,
@@ -139,6 +142,7 @@ impl CompletionOps {
             rng,
         ));
         Self {
+            identity: (0..ctx.num_missing() as u32).collect(),
             w_mean: crate::module::Transform::new(dim, rng),
             w_gcn: crate::module::Transform::new(dim, rng),
             w_ppnp: crate::module::Transform::new(dim, rng),
@@ -154,36 +158,22 @@ impl CompletionOps {
         &self.ctx
     }
 
+    /// `0..N⁻`, the one-hot rows of this instance's own context.
+    pub(crate) fn identity_rows(&self) -> &[u32] {
+        &self.identity
+    }
+
     /// Evaluates one op for all `V⁻` nodes: returns `(N⁻, d)`.
     ///
     /// `x0` is the `(N, d)` projected attribute block with zero rows at
     /// missing nodes.
     pub fn op_output(&self, op: CompletionOp, x0: &Tensor) -> Tensor {
-        match op {
-            CompletionOp::Mean => self
-                .w_mean
-                .forward(&spmm(&self.ctx.mean_agg, &self.ctx.mean_agg_t, x0))
-                .gather_rows(&self.ctx.missing),
-            CompletionOp::Gcn => self
-                .w_gcn
-                .forward(&spmm(&self.ctx.gcn_agg, &self.ctx.gcn_agg_t, x0))
-                .gather_rows(&self.ctx.missing),
-            CompletionOp::Ppnp => {
-                let propagated = ppr::ppnp_propagate(
-                    &self.ctx.sym_adj,
-                    &self.w_ppnp.forward(x0),
-                    self.ppnp_alpha,
-                    self.ppnp_k,
-                );
-                propagated.gather_rows(&self.ctx.missing)
-            }
-            CompletionOp::OneHot => self.onehot.clone(),
-        }
+        self.op_output_in(&self.ctx, &self.identity, op, x0)
     }
 
     /// All four op outputs in [`CompletionOp::ALL`] order.
     pub fn all_op_outputs(&self, x0: &Tensor) -> Vec<Tensor> {
-        CompletionOp::ALL.iter().map(|&op| self.op_output(op, x0)).collect()
+        self.all_op_outputs_in(&self.ctx, &self.identity, x0)
     }
 
     /// Evaluates one op against an *external* context — the minibatch path
@@ -207,24 +197,7 @@ impl CompletionOps {
             ctx.num_missing(),
             "op_output_in: onehot_rows must map every missing node of the context"
         );
-        match op {
-            CompletionOp::Mean => self
-                .w_mean
-                .forward(&spmm(&ctx.mean_agg, &ctx.mean_agg_t, x0))
-                .gather_rows(&ctx.missing),
-            CompletionOp::Gcn => self
-                .w_gcn
-                .forward(&spmm(&ctx.gcn_agg, &ctx.gcn_agg_t, x0))
-                .gather_rows(&ctx.missing),
-            CompletionOp::Ppnp => ppr::ppnp_propagate(
-                &ctx.sym_adj,
-                &self.w_ppnp.forward(x0),
-                self.ppnp_alpha,
-                self.ppnp_k,
-            )
-            .gather_rows(&ctx.missing),
-            CompletionOp::OneHot => self.onehot.gather_rows(onehot_rows),
-        }
+        self.op_rows(ctx, op, x0, &ctx.missing, onehot_rows)
     }
 
     /// All four op outputs against an external context, in
@@ -239,6 +212,40 @@ impl CompletionOps {
             .iter()
             .map(|&op| self.op_output_in(ctx, onehot_rows, op, x0))
             .collect()
+    }
+
+    /// Evaluates `op` at the missing nodes `nodes` of `ctx` (ids in `ctx`'s
+    /// space), whose one-hot table rows are `table_rows`: returns
+    /// `(nodes.len(), d)`, row `i` for `nodes[i]`.
+    ///
+    /// Only these rows are transformed: Mean and GCN aggregate, gather,
+    /// then apply `W`; PPNP propagates over the whole graph, then gathers;
+    /// one-hot gathers its table. The matmul kernels are row-independent,
+    /// so each row is bitwise the row of the whole-graph evaluation.
+    pub(crate) fn op_rows(
+        &self,
+        ctx: &CompletionContext,
+        op: CompletionOp,
+        x0: &Tensor,
+        nodes: &[u32],
+        table_rows: &[u32],
+    ) -> Tensor {
+        match op {
+            CompletionOp::Mean => self
+                .w_mean
+                .forward(&spmm(&ctx.mean_agg, &ctx.mean_agg_t, x0).gather_rows(nodes)),
+            CompletionOp::Gcn => {
+                self.w_gcn.forward(&spmm(&ctx.gcn_agg, &ctx.gcn_agg_t, x0).gather_rows(nodes))
+            }
+            CompletionOp::Ppnp => ppr::ppnp_propagate(
+                &ctx.sym_adj,
+                &self.w_ppnp.forward(x0),
+                self.ppnp_alpha,
+                self.ppnp_k,
+            )
+            .gather_rows(nodes),
+            CompletionOp::OneHot => self.onehot.gather_rows(table_rows),
+        }
     }
 
     /// Trainable parameters of every op.

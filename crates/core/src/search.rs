@@ -10,7 +10,7 @@ use autoac_completion::{complete_assigned, complete_mixture, CompletionOp};
 use autoac_data::{Dataset, LinkSplit};
 use autoac_graph::OpCache;
 use autoac_nn::{Forward, GnnConfig};
-use autoac_tensor::{Adam, AdamConfig, Matrix, Tensor};
+use autoac_tensor::{frozen, Adam, AdamConfig, Matrix, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -452,8 +452,10 @@ pub(crate) fn run_search<S: SearchSchedule>(
         let _obs_epoch = autoac_obs::span("epoch");
         s.begin_epoch(epoch);
         // ------- Upper level: update α on the validation loss -----------
+        // Each level differentiates only its own variables: ω is frozen
+        // here, so the encoder and the completion ops are constants and the
+        // backward runs only the GNN's input-gradient chain down to α.
         alpha_opt.zero_grad();
-        omega_opt.zero_grad(); // the α backward also touches ω; discard
         if epoch >= ac.omega_warmup {
             let _obs = autoac_obs::span("alpha");
             // Alg. 1 line 3: discrete ᾱ = prox_C1(α); the gradient is taken
@@ -462,15 +464,18 @@ pub(crate) fn run_search<S: SearchSchedule>(
             // on α.
             let proxy = ac.discrete.then(|| Tensor::param(prox_c1(&alpha.value())));
             let weights = proxy.clone().unwrap_or_else(|| alpha.softmax_rows());
-            if let Some((_, loss)) = s.forward(true, Fill::Mixture(weights), &cluster_of, rng) {
-                let val = loss.item();
+            let val = frozen(&omega, || {
+                let (_, loss) = s.forward(true, Fill::Mixture(weights), &cluster_of, rng)?;
+                autoac_check::tape::verify_backward_if_enabled(&loss);
+                loss.backward();
+                Some(loss.item())
+            });
+            if let Some(val) = val {
                 autoac_obs::series("search_val_loss", epoch as u64, f64::from(val));
                 if val < best_val {
                     best_val = val;
                     best_snapshot = Some((alpha.to_matrix(), cluster_of.clone()));
                 }
-                autoac_check::tape::verify_backward_if_enabled(&loss);
-                loss.backward();
                 // The proxy is a throwaway leaf: move its gradient across
                 // instead of cloning it.
                 if let Some(g) = proxy.and_then(|p| p.take_grad()) {
@@ -485,9 +490,10 @@ pub(crate) fn run_search<S: SearchSchedule>(
         }
 
         // ------- Lower level: update ω on the training loss -------------
+        // α is frozen: in the relaxed ablation the mixture reads softmax(α)
+        // as a constant (in discrete mode α is not on the tape at all).
         omega_opt.zero_grad();
-        alpha.zero_grad();
-        let hidden = {
+        let hidden = frozen(std::slice::from_ref(&alpha), || {
             let _obs = autoac_obs::span("omega");
             let fill = if ac.discrete {
                 // Alg. 1 lines 5–6: refined discrete choices; only
@@ -509,7 +515,7 @@ pub(crate) fn run_search<S: SearchSchedule>(
                 autoac_obs::series("omega_grad_norm", epoch as u64, f64::from(grad_norm));
                 fwd.hidden
             })
-        };
+        });
 
         // ------- Refresh the node → cluster map --------------------------
         // Only the `V⁻` nodes of the ω batch move; a batched schedule
@@ -730,6 +736,8 @@ fn search_then_retrain<T>(
 mod tests {
     use super::*;
     use autoac_data::{presets, synth};
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     fn tiny_imdb() -> Dataset {
         synth::generate(&presets::imdb(), synth::Scale::Tiny, 0)
@@ -840,6 +848,143 @@ mod tests {
             "micro-f1 {:.3} vs chance {chance:.3}",
             run.outcome.micro_f1
         );
+    }
+
+    /// The whole-graph schedule, watched: at every forward it checks that
+    /// the level being stepped differentiates only its own variables.
+    struct Watched<'a> {
+        inner: WholeGraph<'a>,
+        omega: Vec<Tensor>,
+        /// α, taken from the relaxed mixture weights of an α forward.
+        alpha: Rc<RefCell<Option<Tensor>>>,
+        /// α's gradient when the last ω forward started.
+        alpha_grad_before_omega: RefCell<Option<Option<Matrix>>>,
+        /// (α forwards, ω forwards) seen.
+        forwards: Rc<Cell<(usize, usize)>>,
+    }
+
+    impl Watched<'_> {
+        /// The ω step must have left α's gradient as it found it.
+        fn check_alpha_untouched(&self) {
+            let (Some(alpha), Some(before)) =
+                (self.alpha.borrow().clone(), self.alpha_grad_before_omega.take())
+            else {
+                return;
+            };
+            let bits = |g: Option<Matrix>| {
+                g.map(|m| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            assert_eq!(bits(alpha.grad()), bits(before), "the ω step changed α's gradient");
+        }
+    }
+
+    impl SearchSchedule for Watched<'_> {
+        fn num_missing(&self) -> usize {
+            self.inner.num_missing()
+        }
+
+        fn omega(&self) -> Vec<Tensor> {
+            self.inner.omega()
+        }
+
+        fn hidden_dim(&self, rng: &mut StdRng) -> usize {
+            self.inner.hidden_dim(rng)
+        }
+
+        fn begin_epoch(&mut self, epoch: usize) {
+            self.check_alpha_untouched();
+            self.inner.begin_epoch(epoch);
+        }
+
+        fn forward(
+            &self,
+            validation: bool,
+            fill: Fill,
+            cluster_of: &[u32],
+            rng: &mut StdRng,
+        ) -> Option<(Forward, Tensor)> {
+            let (alphas, omegas) = self.forwards.get();
+            if validation {
+                self.forwards.set((alphas + 1, omegas));
+                assert!(self.omega.iter().all(|p| !p.requires_grad()), "ω must be frozen");
+                if let Fill::Mixture(w) = &fill {
+                    assert!(w.requires_grad(), "the α step differentiates the mixture weights");
+                    if let [alpha] = w.parents() {
+                        *self.alpha.borrow_mut() = Some(alpha.clone());
+                    }
+                }
+            } else {
+                self.forwards.set((alphas, omegas + 1));
+                assert!(self.omega.iter().all(Tensor::requires_grad), "ω must train");
+                if let Fill::Mixture(w) = &fill {
+                    assert!(!w.requires_grad(), "the ω step reads softmax(α) as a constant");
+                }
+                if let Some(alpha) = self.alpha.borrow().as_ref() {
+                    assert!(!alpha.requires_grad(), "α must be frozen");
+                    *self.alpha_grad_before_omega.borrow_mut() = Some(alpha.grad());
+                }
+            }
+            self.inner.forward(validation, fill, cluster_of, rng)
+        }
+
+        fn modularity_loss(&self, c: &Tensor) -> Tensor {
+            self.inner.modularity_loss(c)
+        }
+
+        fn missing_rows(&self) -> (&[u32], &[u32]) {
+            self.inner.missing_rows()
+        }
+    }
+
+    #[test]
+    fn each_level_freezes_the_other_levels_variables() {
+        let data = tiny_imdb();
+        let gnn_cfg = small_cfg(&data);
+        let task = ClassificationTask::new(&data);
+        for discrete in [true, false] {
+            let ac = AutoAcConfig {
+                discrete,
+                clusters: 4,
+                search_epochs: 4,
+                omega_warmup: 1,
+                train: TrainConfig { epochs: 3, ..Default::default() },
+                ..Default::default()
+            };
+            let mut rng = StdRng::seed_from_u64(6);
+            let cache = OpCache::new(&data.graph);
+            let pipe = Pipeline::new_cached(
+                &data,
+                Backbone::Gcn,
+                &gnn_cfg,
+                CompletionMode::Zero,
+                &cache,
+                &mut rng,
+            );
+            let positions = (0..pipe.ops.ctx().num_missing() as u32).collect();
+            let modularity = ModularityContext::build(&data.graph, ac.clusters);
+            let inner = WholeGraph { pipe, task: &task, modularity, positions };
+            let omega = inner.omega();
+            let alpha = Rc::new(RefCell::new(None));
+            let forwards = Rc::new(Cell::new((0, 0)));
+            let watched = Watched {
+                inner,
+                omega: omega.clone(),
+                alpha: Rc::clone(&alpha),
+                alpha_grad_before_omega: RefCell::new(None),
+                forwards: Rc::clone(&forwards),
+            };
+            let meta = RunMeta::whole_graph("search", 0, ac.fingerprint(), 6);
+            let _ = run_search(watched, &ac, meta, &mut rng, None);
+
+            // One α step per epoch after the warm-up, one ω step per epoch.
+            assert_eq!(forwards.get(), (3, 4), "discrete = {discrete}");
+            assert!(omega.iter().all(Tensor::requires_grad), "every ω leaf trains again");
+            let alpha = alpha.borrow().clone();
+            assert_eq!(alpha.is_some(), !discrete, "the relaxed α step mixes softmax(α)");
+            if let Some(alpha) = alpha {
+                assert!(alpha.requires_grad(), "α trains again");
+            }
+        }
     }
 
     #[test]

@@ -4,23 +4,69 @@
 //! promise, and (c) emit JSONL that the hand-rolled JSON parser (which
 //! obs itself cannot depend on) accepts line by line.
 //!
-//! Everything lives in one test: obs drains are process-global, and one
-//! sequential body keeps the two runs and the report inspection ordered.
+//! Obs drains are process-global, so each test holds [`OBS_LOCK`] while
+//! it records, and one sequential body keeps its runs and the report
+//! inspection ordered.
+
+use std::sync::{Mutex, MutexGuard};
 
 use autoac_core::{
-    run_autoac_classification, search_minibatch, AutoAcConfig, Backbone, MinibatchConfig,
-    TrainConfig,
+    run_autoac_classification, search, search_minibatch, AutoAcConfig, Backbone,
+    ClassificationTask, MinibatchConfig, TrainConfig,
 };
 use autoac_data::{presets, synth, Dataset, Scale};
 use autoac_graph::OpCache;
 use autoac_nn::GnnConfig;
 
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn tiny(seed: u64) -> Dataset {
     synth::generate(&presets::imdb(), Scale::Tiny, seed)
 }
 
+/// The α step differentiates only α: with ω frozen, the encoder and the
+/// completion ops are constants, so no weight gradient (`matmul_tn`) runs
+/// under `search/epoch/alpha` while the ω step still runs them.
+#[test]
+fn alpha_step_computes_no_weight_gradient() {
+    let _lock = obs_lock();
+    let data = synth::generate(&presets::dblp(), Scale::Tiny, 1);
+    let gnn_cfg = GnnConfig {
+        in_dim: 16,
+        hidden: 16,
+        out_dim: data.num_classes,
+        layers: 2,
+        ..Default::default()
+    };
+    let ac = AutoAcConfig {
+        clusters: 4,
+        search_epochs: 3,
+        omega_warmup: 1,
+        train: TrainConfig { epochs: 2, ..Default::default() },
+        ..Default::default()
+    };
+    let task = ClassificationTask::new(&data);
+    let _ = autoac_obs::drain();
+    autoac_obs::with_obs(true, || search(&data, Backbone::SimpleHgn, &gnn_cfg, &ac, &task, 5));
+    let rep = autoac_obs::drain();
+    let tree = rep.render_tree();
+    let alpha = rep.span("search/epoch/alpha").unwrap_or_else(|| panic!("no α step:\n{tree}"));
+    assert_eq!(alpha.count, 2, "one α step per epoch after the warm-up:\n{tree}");
+    assert!(rep.span("search/epoch/alpha/matmul_nt").is_some(), "the α backward ran:\n{tree}");
+    assert!(rep.span("search/epoch/omega/matmul_tn").is_some(), "ω trains:\n{tree}");
+    assert!(
+        rep.span("search/epoch/alpha/matmul_tn").is_none(),
+        "the α step computed a weight gradient:\n{tree}"
+    );
+}
+
 #[test]
 fn obs_on_run_is_bitwise_identical_and_fully_exported() {
+    let _lock = obs_lock();
     let data = tiny(7);
     let gnn_cfg = GnnConfig {
         in_dim: 16,

@@ -163,3 +163,43 @@ fn debug_traces_slo_and_flight_dump_work_end_to_end() {
     set_trace_force(None);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A flight dump that cannot be written answers 500 with a JSON `error`,
+/// and the server goes on serving: classify bodies are byte-identical to
+/// those before the failure and `/healthz` answers 200. The directory lies
+/// below a regular file, which stops its creation even for root (mode bits
+/// would not).
+#[test]
+fn failed_flight_dump_answers_500_and_serving_goes_on() {
+    let _serial = lock();
+    let base = std::env::temp_dir().join(format!("autoac_flight_fault_{}", std::process::id()));
+    std::fs::create_dir_all(&base).expect("temp dir");
+    let file = base.join("regular_file");
+    std::fs::write(&file, "not a directory").expect("write the blocking file");
+    let flight_dir = file.join("flight");
+    let srv = server_in(&flight_dir, "fault", quick_state(67));
+    let mut c = Client::connect(srv.addr()).expect("connect");
+    let sets: Vec<Vec<usize>> = (0..4).map(|i| vec![i, i + 3]).collect();
+    let classify = |c: &mut Client| -> Vec<String> {
+        sets.iter()
+            .map(|s| {
+                let r = c.post("/v1/classify", &nodes_body(s)).expect("post");
+                assert_eq!(r.status, 200, "{}", r.text());
+                r.text()
+            })
+            .collect()
+    };
+    let before = classify(&mut c);
+
+    let f = c.post("/admin/flight", "").expect("flight");
+    assert_eq!(f.status, 500, "{}", f.text());
+    let doc = json::parse(&f.text()).expect("error body is json");
+    let error = doc.get("error").and_then(Value::as_str).expect("error field");
+    assert!(error.starts_with("flight dump failed"), "{error}");
+    assert!(!flight_dir.exists());
+
+    assert_eq!(classify(&mut c), before, "classify bodies must not change");
+    assert_eq!(c.get("/healthz").expect("healthz").status, 200);
+    srv.stop();
+    let _ = std::fs::remove_dir_all(&base);
+}

@@ -9,6 +9,12 @@
 //! The graph is rebuilt on every forward pass (define-by-run); parameters are
 //! leaf tensors that persist across passes and accumulate gradients until
 //! [`Tensor::zero_grad`] is called.
+//!
+//! Gradients exist only where something reads them. An op records a node
+//! only when some input [takes a gradient](Tensor::takes_grad), and builds
+//! (and captures operands for) only those inputs' gradients; [`no_grad`]
+//! turns recording off and [`frozen`] makes chosen leaves constants for a
+//! scope, as each level of the bi-level search does to the other's.
 
 use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashSet;
@@ -38,13 +44,41 @@ pub fn grad_enabled() -> bool {
     GRAD_ENABLED.with(|g| g.get())
 }
 
+/// Runs `f` with the given leaves treated as constants: an op run inside
+/// `f` records no gradient path into them, so no backward computes or
+/// accumulates their gradients through it. Each leaf gets its previous
+/// `requires_grad` back when `f` returns or unwinds.
+///
+/// # Panics
+/// Panics if a tensor is not a leaf (an op result's flag is derived from
+/// its inputs, so there is nothing to freeze).
+pub fn frozen<T>(leaves: &[Tensor], f: impl FnOnce() -> T) -> T {
+    /// Restores the saved flags in reverse, so a leaf listed twice ends
+    /// with the flag it had before the first entry.
+    struct Restore(Vec<(Tensor, bool)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            for (t, flag) in self.0.iter().rev() {
+                t.node.requires_grad.set(*flag);
+            }
+        }
+    }
+    for t in leaves {
+        assert!(t.is_leaf(), "frozen: `{}` (node #{}) is not a leaf", t.op_name(), t.id());
+    }
+    let _restore =
+        Restore(leaves.iter().map(|t| (t.clone(), t.node.requires_grad.replace(false))).collect());
+    f()
+}
+
 pub(crate) type BackwardFn = Box<dyn Fn(&Matrix)>;
 
 pub(crate) struct Node {
     id: u64,
     value: RefCell<Matrix>,
     grad: RefCell<Option<Matrix>>,
-    requires_grad: bool,
+    /// A `Cell` so [`frozen`] can clear it on a leaf for a scope.
+    requires_grad: Cell<bool>,
     parents: Vec<Tensor>,
     backward: Option<BackwardFn>,
     /// Name of the op that produced this node (`"leaf"` for leaves) —
@@ -111,7 +145,7 @@ impl std::fmt::Debug for Tensor {
             self.node.id,
             v.rows(),
             v.cols(),
-            self.node.requires_grad
+            self.node.requires_grad.get()
         )
     }
 }
@@ -125,7 +159,7 @@ impl Tensor {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 value: RefCell::new(value),
                 grad: RefCell::new(None),
-                requires_grad,
+                requires_grad: Cell::new(requires_grad),
                 parents: Vec::new(),
                 backward: None,
                 op: "leaf",
@@ -148,19 +182,26 @@ impl Tensor {
         Self::constant(Matrix::full(1, 1, v))
     }
 
-    /// Internal constructor for op results.
-    pub(crate) fn from_op(value: Matrix, parents: Vec<Tensor>, backward: BackwardFn) -> Self {
-        let requires = grad_enabled() && parents.iter().any(|p| p.node.requires_grad);
-        if !requires {
+    /// Internal constructor for op results. The node is recorded only when
+    /// some parent [takes a gradient](Tensor::takes_grad); only then is
+    /// `backward` called (with the op's output value) to build the closure,
+    /// so an op that records no node captures and copies nothing.
+    pub(crate) fn from_op(
+        value: Matrix,
+        parents: &[&Tensor],
+        backward: impl FnOnce(&Matrix) -> BackwardFn,
+    ) -> Self {
+        if !parents.iter().any(|p| p.takes_grad()) {
             return Self::constant(value);
         }
+        let backward = backward(&value);
         Tensor {
             node: Rc::new(Node {
                 id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
                 value: RefCell::new(value),
                 grad: RefCell::new(None),
-                requires_grad: true,
-                parents,
+                requires_grad: Cell::new(true),
+                parents: parents.iter().map(|&p| p.clone()).collect(),
                 backward: Some(backward),
                 op: crate::chk::current_op(),
             }),
@@ -173,7 +214,8 @@ impl Tensor {
     }
 
     /// Name of the op that produced this node; `"leaf"` for leaves and for
-    /// constants produced under [`no_grad`] (their history is dropped).
+    /// op results that recorded no node (under [`no_grad`], or over
+    /// constant or [`frozen`] inputs only: their history is dropped).
     pub fn op_name(&self) -> &'static str {
         self.node.op
     }
@@ -192,7 +234,21 @@ impl Tensor {
 
     /// Whether this tensor participates in gradient computation.
     pub fn requires_grad(&self) -> bool {
-        self.node.requires_grad
+        self.node.requires_grad.get()
+    }
+
+    /// The one predicate for "an op over this input computes its gradient":
+    /// gradients are enabled and the input requires one. Multi-input ops
+    /// build (and capture operands for) each input's gradient only when it
+    /// holds.
+    pub(crate) fn takes_grad(&self) -> bool {
+        grad_enabled() && self.requires_grad()
+    }
+
+    /// `Some(self)` when [`Tensor::takes_grad`]: the handle a backward
+    /// closure scatters this input's gradient into.
+    pub(crate) fn grad_target(&self) -> Option<Tensor> {
+        self.takes_grad().then(|| self.clone())
     }
 
     /// Borrow of the forward value.
@@ -290,7 +346,7 @@ impl Tensor {
 
     /// Accumulates `g` into this node's gradient buffer.
     pub(crate) fn accum_grad(&self, g: &Matrix) {
-        if !self.node.requires_grad {
+        if !self.requires_grad() {
             return;
         }
         self.check_grad_shape(g);
@@ -306,7 +362,7 @@ impl Tensor {
     /// Backward closures produce owned temporaries, so this recycles every
     /// per-op gradient allocation on the first-contribution path.
     pub(crate) fn accum_grad_owned(&self, g: Matrix) {
-        if !self.node.requires_grad {
+        if !self.requires_grad() {
             return;
         }
         self.check_grad_shape(&g);
@@ -340,7 +396,7 @@ impl Tensor {
     /// gradient (any shape matching this tensor).
     pub fn backward_with(&self, seed: Matrix) {
         assert_eq!(self.shape(), seed.shape(), "backward_with: seed shape mismatch");
-        if !self.node.requires_grad {
+        if !self.requires_grad() {
             return;
         }
         let order = self.topo_order();
@@ -376,7 +432,7 @@ impl Tensor {
             if cursor < parents.len() {
                 let child = parents[cursor].clone();
                 stack.push((t, cursor + 1));
-                if child.node.requires_grad && visited.insert(child.node.id) {
+                if child.requires_grad() && visited.insert(child.node.id) {
                     stack.push((child, 0));
                 }
             } else {

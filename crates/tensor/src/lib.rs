@@ -30,7 +30,7 @@ pub mod parallel;
 pub mod pool;
 pub mod sparse;
 
-pub use autograd::{grad_enabled, no_grad, Tensor};
+pub use autograd::{frozen, grad_enabled, no_grad, Tensor};
 pub use matrix::{dot, softmax_in_place, Matrix};
 pub use ops::Act;
 pub use optim::{Adam, AdamConfig, AdamState, Sgd};

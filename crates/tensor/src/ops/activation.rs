@@ -9,43 +9,33 @@ impl Tensor {
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
         let _op = crate::chk::op_scope("relu");
-        let x = self.to_matrix();
-        let value = x.map(|v| v.max(0.0));
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        let value = self.value().map(|v| v.max(0.0));
+        Tensor::from_op(value, &[self], |_| {
+            let (a, x) = (self.clone(), self.to_matrix());
             Box::new(move |g| {
                 a.accum_grad_owned(g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { 0.0 }));
-            }),
-        )
+            })
+        })
     }
 
     /// Leaky ReLU with negative slope `slope`.
     pub fn leaky_relu(&self, slope: f32) -> Tensor {
         let _op = crate::chk::op_scope("leaky_relu");
-        let x = self.to_matrix();
-        let value = x.map(|v| if v > 0.0 { v } else { slope * v });
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        let value = self.value().map(|v| if v > 0.0 { v } else { slope * v });
+        Tensor::from_op(value, &[self], |_| {
+            let (a, x) = (self.clone(), self.to_matrix());
             Box::new(move |g| {
                 a.accum_grad_owned(g.zip_map(&x, |gv, xv| if xv > 0.0 { gv } else { slope * gv }));
-            }),
-        )
+            })
+        })
     }
 
     /// Exponential linear unit (alpha = 1).
     pub fn elu(&self) -> Tensor {
         let _op = crate::chk::op_scope("elu");
-        let x = self.to_matrix();
-        let value = x.map(|v| if v > 0.0 { v } else { v.exp() - 1.0 });
-        let y = value.clone();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        let value = self.value().map(|v| if v > 0.0 { v } else { v.exp() - 1.0 });
+        Tensor::from_op(value, &[self], |y| {
+            let (a, x, y) = (self.clone(), self.to_matrix(), y.clone());
             Box::new(move |g| {
                 // d/dx elu = 1 for x>0, exp(x) = y+1 otherwise.
                 let mut dg = g.clone();
@@ -55,92 +45,70 @@ impl Tensor {
                     }
                 }
                 a.accum_grad_owned(dg);
-            }),
-        )
+            })
+        })
     }
 
     /// Logistic sigmoid.
     pub fn sigmoid(&self) -> Tensor {
         let _op = crate::chk::op_scope("sigmoid");
         let value = self.value().map(|v| 1.0 / (1.0 + (-v).exp()));
-        let y = value.clone();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                a.accum_grad_owned(g.zip_map(&y, |gv, yv| gv * yv * (1.0 - yv)));
-            }),
-        )
+        Tensor::from_op(value, &[self], |y| {
+            let (a, y) = (self.clone(), y.clone());
+            Box::new(move |g| a.accum_grad_owned(g.zip_map(&y, |gv, yv| gv * yv * (1.0 - yv))))
+        })
     }
 
     /// Hyperbolic tangent.
     pub fn tanh(&self) -> Tensor {
         let _op = crate::chk::op_scope("tanh");
         let value = self.value().map(f32::tanh);
-        let y = value.clone();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                a.accum_grad_owned(g.zip_map(&y, |gv, yv| gv * (1.0 - yv * yv)));
-            }),
-        )
+        Tensor::from_op(value, &[self], |y| {
+            let (a, y) = (self.clone(), y.clone());
+            Box::new(move |g| a.accum_grad_owned(g.zip_map(&y, |gv, yv| gv * (1.0 - yv * yv))))
+        })
     }
 
     /// Elementwise exponential.
     pub fn exp(&self) -> Tensor {
         let _op = crate::chk::op_scope("exp");
         let value = self.value().map(f32::exp);
-        let y = value.clone();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| a.accum_grad_owned(g.mul(&y))),
-        )
+        Tensor::from_op(value, &[self], |y| {
+            let (a, y) = (self.clone(), y.clone());
+            Box::new(move |g| a.accum_grad_owned(g.mul(&y)))
+        })
     }
 
     /// Elementwise natural logarithm.
     pub fn ln(&self) -> Tensor {
         let _op = crate::chk::op_scope("ln");
-        let x = self.to_matrix();
-        let value = x.map(f32::ln);
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| a.accum_grad_owned(g.zip_map(&x, |gv, xv| gv / xv))),
-        )
+        let value = self.value().map(f32::ln);
+        Tensor::from_op(value, &[self], |_| {
+            let (a, x) = (self.clone(), self.to_matrix());
+            Box::new(move |g| a.accum_grad_owned(g.zip_map(&x, |gv, xv| gv / xv)))
+        })
     }
 
     /// Elementwise square root.
     pub fn sqrt(&self) -> Tensor {
         let _op = crate::chk::op_scope("sqrt");
         let value = self.value().map(f32::sqrt);
-        let y = value.clone();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        Tensor::from_op(value, &[self], |y| {
+            let (a, y) = (self.clone(), y.clone());
             Box::new(move |g| {
                 a.accum_grad_owned(g.zip_map(&y, |gv, yv| gv * 0.5 / yv.max(1e-12)));
-            }),
-        )
+            })
+        })
     }
 
     /// Elementwise square.
     pub fn square(&self) -> Tensor {
         let _op = crate::chk::op_scope("square");
-        let x = self.to_matrix();
-        let value = x.map(|v| v * v);
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| a.accum_grad_owned(g.zip_map(&x, |gv, xv| gv * 2.0 * xv))),
-        )
+        let value = self.value().map(|v| v * v);
+        Tensor::from_op(value, &[self], |_| {
+            let (a, x) = (self.clone(), self.to_matrix());
+            Box::new(move |g| a.accum_grad_owned(g.zip_map(&x, |gv, xv| gv * 2.0 * xv)))
+        })
     }
 
     /// Inverted-scale dropout. A no-op when `training` is false or `p == 0`.
@@ -159,23 +127,18 @@ impl Tensor {
             }
         }
         let value = self.value().mul(&mask);
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| a.accum_grad_owned(g.mul(&mask))),
-        )
+        Tensor::from_op(value, &[self], |_| {
+            let a = self.clone();
+            Box::new(move |g| a.accum_grad_owned(g.mul(&mask)))
+        })
     }
 
     /// Row-wise softmax.
     pub fn softmax_rows(&self) -> Tensor {
         let _op = crate::chk::op_scope("softmax_rows");
         let value = self.value().softmax_rows();
-        let y = value.clone();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        Tensor::from_op(value, &[self], |y| {
+            let (a, y) = (self.clone(), y.clone());
             Box::new(move |g| {
                 // dx_r = y_r ∘ (g_r − ⟨g_r, y_r⟩)
                 let mut dx = g.clone();
@@ -187,19 +150,16 @@ impl Tensor {
                     }
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 
     /// Row-wise log-softmax.
     pub fn log_softmax_rows(&self) -> Tensor {
         let _op = crate::chk::op_scope("log_softmax_rows");
         let value = self.value().log_softmax_rows();
-        let softmax = value.map(f32::exp);
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        Tensor::from_op(value, &[self], |logp| {
+            let (a, softmax) = (self.clone(), logp.map(f32::exp));
             Box::new(move |g| {
                 // dx_r = g_r − softmax_r · Σ g_r
                 let mut dx = g.clone();
@@ -210,7 +170,7 @@ impl Tensor {
                     }
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 }

@@ -88,18 +88,16 @@ impl Tensor {
         }
         act.apply_assign(&mut value);
 
-        let (x, wt) = (self.clone(), w.clone());
-        let bt = b.cloned();
-        let (xv, wv) = (self.to_matrix(), w.to_matrix());
-        // Identity needs no activation backward, so skip retaining y.
-        let yv = (act != Act::Identity).then(|| value.clone());
-        let mut parents = vec![self.clone(), w.clone()];
-        if let Some(b) = b {
-            parents.push(b.clone());
-        }
-        Tensor::from_op(
-            value,
-            parents,
+        let mut parents = vec![self, w];
+        parents.extend(b);
+        Tensor::from_op(value, &parents, |y| {
+            // dX = dpre · Wᵀ reads W; dW = Xᵀ · dpre reads X; db reads
+            // neither. Each is built only for an input that takes it.
+            let x = self.grad_target().map(|x| (x, w.to_matrix()));
+            let wt = w.grad_target().map(|wt| (wt, self.to_matrix()));
+            let bt = b.and_then(Tensor::grad_target);
+            // Identity needs no activation backward, so skip retaining y.
+            let yv = (act != Act::Identity).then(|| y.clone());
             Box::new(move |g| {
                 let dpre_owned;
                 let dpre: &Matrix = match &yv {
@@ -109,14 +107,17 @@ impl Tensor {
                         &dpre_owned
                     }
                 };
-                // dX = dpre · Wᵀ ; dW = Xᵀ · dpre ; db = Σ_rows dpre
-                x.accum_grad_owned(dpre.matmul_nt(&wv));
-                wt.accum_grad_owned(xv.matmul_tn(dpre));
+                if let Some((x, wv)) = &x {
+                    x.accum_grad_owned(dpre.matmul_nt(wv));
+                }
+                if let Some((wt, xv)) = &wt {
+                    wt.accum_grad_owned(xv.matmul_tn(dpre));
+                }
                 if let Some(bt) = &bt {
                     bt.accum_grad_owned(dpre.sum_cols());
                 }
-            }),
-        )
+            })
+        })
     }
 }
 

@@ -32,15 +32,11 @@ impl Tensor {
         let _op = crate::chk::op_scope("gather_rows");
         let (rows, _) = self.shape();
         let value = self.value().gather_rows(idx);
-        let a = self.clone();
-        let idx: Rc<[u32]> = idx.into();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                a.accum_grad_owned(g.scatter_add_rows(&idx, rows));
-            }),
-        )
+        Tensor::from_op(value, &[self], |_| {
+            let a = self.clone();
+            let idx: Rc<[u32]> = idx.into();
+            Box::new(move |g| a.accum_grad_owned(g.scatter_add_rows(&idx, rows)))
+        })
     }
 
     /// Scatter-adds rows by index into a `(num_out, cols)` tensor:
@@ -48,15 +44,11 @@ impl Tensor {
     pub fn scatter_add_rows(&self, idx: &[u32], num_out: usize) -> Tensor {
         let _op = crate::chk::op_scope("scatter_add_rows");
         let value = self.value().scatter_add_rows(idx, num_out);
-        let a = self.clone();
-        let idx: Rc<[u32]> = idx.into();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                a.accum_grad_owned(g.gather_rows(&idx));
-            }),
-        )
+        Tensor::from_op(value, &[self], |_| {
+            let a = self.clone();
+            let idx: Rc<[u32]> = idx.into();
+            Box::new(move |g| a.accum_grad_owned(g.gather_rows(&idx)))
+        })
     }
 
     /// Fused weighted edge aggregation into a `(num_out, cols)` tensor:
@@ -85,22 +77,26 @@ impl Tensor {
             aggregate(&self.value(), src, dst, &w.value(), num_out)
         };
         let rows = self.shape().0;
-        let (x, wt) = (self.clone(), w.clone());
-        let (xv, wv) = (self.to_matrix(), w.to_matrix());
-        let (src, dst): (Rc<[u32]>, Rc<[u32]>) = (src.into(), dst.into());
-        Tensor::from_op(
-            value,
-            vec![self.clone(), w.clone()],
+        Tensor::from_op(value, &[self, w], |_| {
+            // dx reads the weights; dw reads x.
+            let x = self.grad_target().map(|x| (x, w.to_matrix()));
+            let wt = w.grad_target().map(|wt| (wt, self.to_matrix()));
+            let (src, dst): (Rc<[u32]>, Rc<[u32]>) = (src.into(), dst.into());
             Box::new(move |g| {
                 let _obs = autoac_obs::span("edge_aggregate");
-                x.accum_grad_owned(aggregate(g, &dst, &src, &wv, rows));
-                let mut dw = Matrix::scratch(src.len(), 1); // every entry written below
-                for (o, (&s, &t)) in dw.data_mut().iter_mut().zip(src.iter().zip(dst.iter())) {
-                    *o = dot(g.row(t as usize), xv.row(s as usize));
+                if let Some((x, wv)) = &x {
+                    x.accum_grad_owned(aggregate(g, &dst, &src, wv, rows));
                 }
-                wt.accum_grad_owned(dw);
-            }),
-        )
+                if let Some((wt, xv)) = &wt {
+                    let mut dw = Matrix::scratch(src.len(), 1); // every entry written below
+                    for (o, (&s, &t)) in dw.data_mut().iter_mut().zip(src.iter().zip(dst.iter()))
+                    {
+                        *o = dot(g.row(t as usize), xv.row(s as usize));
+                    }
+                    wt.accum_grad_owned(dw);
+                }
+            })
+        })
     }
 
     /// Mean-aggregates rows into groups: `out[k] = mean of self rows with
@@ -126,7 +122,7 @@ impl Tensor {
         let (rows, cols) = self.shape();
         assert_eq!(cols, 1, "group_softmax: expected an (E, 1) score column");
         assert_eq!(rows, group.len(), "group_softmax: group length mismatch");
-        let x = self.to_matrix();
+        let x = self.value();
         // Numerically stable per-group softmax: subtract per-group max.
         let mut gmax = vec![f32::NEG_INFINITY; num_groups];
         for (i, &gid) in group.iter().enumerate() {
@@ -147,12 +143,10 @@ impl Tensor {
                 out.data_mut()[i] /= s;
             }
         }
-        let y = out.clone();
-        let a = self.clone();
-        let group: Rc<[u32]> = group.into();
-        Tensor::from_op(
-            out,
-            vec![self.clone()],
+        Tensor::from_op(out, &[self], |y| {
+            let y = y.clone();
+            let a = self.clone();
+            let group: Rc<[u32]> = group.into();
             Box::new(move |g| {
                 // Within each group: dx_i = y_i (g_i − Σ_j y_j g_j).
                 let mut inner = vec![0.0f32; num_groups];
@@ -164,8 +158,8 @@ impl Tensor {
                     dx.data_mut()[i] = y.data()[i] * (g.data()[i] - inner[gid as usize]);
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 }
 

@@ -27,12 +27,10 @@ impl Tensor {
             loss -= logp.get(r, t);
         }
         drop(logp);
-        let a = self.clone();
-        let targets: Rc<[u32]> = targets.into();
-        let rows: Rc<[u32]> = rows.into();
-        Tensor::from_op(
-            Matrix::full(1, 1, loss * inv),
-            vec![self.clone()],
+        Tensor::from_op(Matrix::full(1, 1, loss * inv), &[self], |_| {
+            let a = self.clone();
+            let targets: Rc<[u32]> = targets.into();
+            let rows: Rc<[u32]> = rows.into();
             Box::new(move |g| {
                 let scale = g.data()[0] * inv;
                 let mut dx = Matrix::zeros(n, c);
@@ -41,8 +39,8 @@ impl Tensor {
                     dx.set(r, targets[r] as usize, -scale);
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 
     /// Cross-entropy with logits over row subset: `log_softmax` + NLL.
@@ -58,18 +56,15 @@ impl Tensor {
         assert_eq!(c, 1, "bce_with_logits: expected an (E, 1) logit column");
         assert_eq!(labels.len(), e, "bce_with_logits: label length mismatch");
         assert!(e > 0, "bce_with_logits: empty input");
-        let z = self.to_matrix();
         let inv = 1.0 / e as f32;
         let mut loss = 0.0;
-        for (zi, &y) in z.data().iter().zip(labels) {
+        for (zi, &y) in self.value().data().iter().zip(labels) {
             // max(z, 0) − z·y + ln(1 + e^{−|z|})
             loss += zi.max(0.0) - zi * y + (1.0 + (-zi.abs()).exp()).ln();
         }
-        let a = self.clone();
-        let labels: Rc<[f32]> = labels.into();
-        Tensor::from_op(
-            Matrix::full(1, 1, loss * inv),
-            vec![self.clone()],
+        Tensor::from_op(Matrix::full(1, 1, loss * inv), &[self], |_| {
+            let (a, z) = (self.clone(), self.to_matrix());
+            let labels: Rc<[f32]> = labels.into();
             Box::new(move |g| {
                 let scale = g.data()[0] * inv;
                 let mut dx = Matrix::scratch(z.rows(), 1); // every entry written
@@ -78,8 +73,8 @@ impl Tensor {
                     *d = scale * (sig - y);
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 
     /// Multi-label binary cross-entropy with logits over a row subset of an
@@ -90,21 +85,20 @@ impl Tensor {
         let (n, c) = self.shape();
         assert_eq!(targets.shape(), (n, c), "multilabel_bce_rows: target shape mismatch");
         assert!(!rows.is_empty(), "multilabel_bce_rows: empty row subset");
-        let z = self.to_matrix();
         let inv = 1.0 / (rows.len() * c) as f32;
         let mut loss = 0.0;
+        let z = self.value();
         for &r in rows {
             let r = r as usize;
             for (zi, &y) in z.row(r).iter().zip(targets.row(r)) {
                 loss += zi.max(0.0) - zi * y + (1.0 + (-zi.abs()).exp()).ln();
             }
         }
-        let a = self.clone();
-        let targets = targets.clone();
-        let rows: Rc<[u32]> = rows.into();
-        Tensor::from_op(
-            Matrix::full(1, 1, loss * inv),
-            vec![self.clone()],
+        drop(z);
+        Tensor::from_op(Matrix::full(1, 1, loss * inv), &[self], |_| {
+            let (a, z) = (self.clone(), self.to_matrix());
+            let targets = targets.clone();
+            let rows: Rc<[u32]> = rows.into();
             Box::new(move |g| {
                 let scale = g.data()[0] * inv;
                 let mut dx = Matrix::zeros(n, c);
@@ -118,8 +112,8 @@ impl Tensor {
                     }
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 
     /// Mean squared error against a constant target of the same shape.

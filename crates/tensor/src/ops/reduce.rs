@@ -9,14 +9,10 @@ impl Tensor {
         let _op = crate::chk::op_scope("sum");
         let (rows, cols) = self.shape();
         let value = Matrix::full(1, 1, self.value().sum());
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
-            Box::new(move |g| {
-                a.accum_grad_owned(Matrix::full(rows, cols, g.data()[0]));
-            }),
-        )
+        Tensor::from_op(value, &[self], |_| {
+            let a = self.clone();
+            Box::new(move |g| a.accum_grad_owned(Matrix::full(rows, cols, g.data()[0])))
+        })
     }
 
     /// Mean of all elements, as a `(1,1)` tensor.
@@ -31,10 +27,8 @@ impl Tensor {
         let _op = crate::chk::op_scope("sum_rows");
         let (rows, cols) = self.shape();
         let value = self.value().sum_rows();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        Tensor::from_op(value, &[self], |_| {
+            let a = self.clone();
             Box::new(move |g| {
                 let mut dx = Matrix::scratch(rows, cols); // every entry written
                 for r in 0..rows {
@@ -44,8 +38,8 @@ impl Tensor {
                     }
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 
     /// Column sums, as a `(1, cols)` tensor.
@@ -53,18 +47,16 @@ impl Tensor {
         let _op = crate::chk::op_scope("sum_cols");
         let (rows, cols) = self.shape();
         let value = self.value().sum_cols();
-        let a = self.clone();
-        Tensor::from_op(
-            value,
-            vec![self.clone()],
+        Tensor::from_op(value, &[self], |_| {
+            let a = self.clone();
             Box::new(move |g| {
                 let mut dx = Matrix::scratch(rows, cols); // every entry written
                 for r in 0..rows {
                     dx.row_mut(r).copy_from_slice(g.row(0));
                 }
                 a.accum_grad_owned(dx);
-            }),
-        )
+            })
+        })
     }
 
     /// Row means, as a `(rows, 1)` tensor.

@@ -302,15 +302,11 @@ pub fn spmm(a: &Rc<Csr>, a_t: &Rc<Csr>, x: &Tensor) -> Tensor {
     debug_assert_eq!(a.n_rows(), a_t.n_cols(), "spmm: transpose shape mismatch");
     debug_assert_eq!(a.n_cols(), a_t.n_rows(), "spmm: transpose shape mismatch");
     let value = a.matmul_dense(&x.value());
-    let xt = x.clone();
-    let a_t = Rc::clone(a_t);
-    Tensor::from_op(
-        value,
-        vec![x.clone()],
-        Box::new(move |g| {
-            xt.accum_grad_owned(a_t.matmul_dense(g));
-        }),
-    )
+    Tensor::from_op(value, &[x], |_| {
+        let xt = x.clone();
+        let a_t = Rc::clone(a_t);
+        Box::new(move |g| xt.accum_grad_owned(a_t.matmul_dense(g)))
+    })
 }
 
 #[cfg(test)]
