@@ -52,12 +52,10 @@ pub const SERVE_ENTRY_POINTS: &[&str] = &["handle_connection", "run_model_thread
 /// every read site must go through.
 pub const ENV_REGISTRY: &[(&str, &str)] = &[
     ("AUTOAC_CHECK", "parse_bool_env"),
-    ("AUTOAC_FLIGHT", "parse_bool_env"),
     ("AUTOAC_NUM_THREADS", "parse_threads_env"),
     ("AUTOAC_OBS", "parse_bool_env"),
     ("AUTOAC_POOL", "parse_bool_env"),
     ("AUTOAC_SLOW_TESTS", "parse_bool_env"),
-    ("AUTOAC_TRACE", "parse_bool_env"),
 ];
 
 /// Files whose `StdRng::from_state` use is sanctioned (checkpoint-resume

@@ -77,24 +77,6 @@ impl ModularityContext {
         let collapse = c.sum_cols().frob().scale(self.collapse_coeff);
         modularity.add(&collapse)
     }
-
-    /// Non-differentiable modularity `Q` of a hard assignment (validation).
-    pub fn hard_modularity(&self, assign: &[usize]) -> f64 {
-        let mut q = 0.0f64;
-        for (&s, &d) in self.src.iter().zip(&self.dst) {
-            if assign[s as usize] == assign[d as usize] {
-                q += 1.0;
-            }
-        }
-        // Degree expectation term.
-        let mut cluster_deg = vec![0.0f64; self.num_clusters];
-        for (v, &a) in assign.iter().enumerate() {
-            cluster_deg[a] += self.degrees.get(0, v) as f64;
-        }
-        let two_m = self.two_m as f64;
-        let expected: f64 = cluster_deg.iter().map(|&d| d * d).sum::<f64>() / two_m;
-        (q - expected) / two_m
-    }
 }
 
 /// The trainable clustering head: `C = softmax(H W_c)`.
@@ -206,17 +188,6 @@ mod tests {
             b.add_edge(e, s, d);
         }
         b.build()
-    }
-
-    #[test]
-    fn hard_modularity_prefers_true_communities() {
-        let ctx = ModularityContext::build(&two_cliques(), 2);
-        let good = ctx.hard_modularity(&[0, 0, 0, 1, 1, 1]);
-        let bad = ctx.hard_modularity(&[0, 1, 0, 1, 0, 1]);
-        let trivial = ctx.hard_modularity(&[0, 0, 0, 0, 0, 0]);
-        assert!(good > 0.3, "good partition Q = {good}");
-        assert!(good > bad, "good {good} vs shuffled {bad}");
-        assert!(good > trivial, "good {good} vs all-in-one {trivial}");
     }
 
     #[test]

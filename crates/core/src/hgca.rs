@@ -16,7 +16,7 @@
 use autoac_data::Dataset;
 use autoac_graph::norm;
 use autoac_nn::{FeatureEncoder, Forward, Gnn, GnnConfig};
-use autoac_tensor::{spmm, Adam, AdamConfig, Csr, Matrix, Tensor};
+use autoac_tensor::{spmm, Adam, AdamConfig, Csr, Tensor};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -54,14 +54,13 @@ pub struct HgcaPipe {
     missing: Vec<u32>,
     num_nodes: usize,
     model: Box<dyn Gnn>,
-    features: Vec<Option<Matrix>>,
 }
 
 impl ForwardPipe for HgcaPipe {
     fn forward(&self, training: bool, rng: &mut StdRng) -> Forward {
         // Frozen completion: evaluated outside the autograd graph.
         let x = autoac_tensor::no_grad(|| {
-            let x0 = self.encoder.encode(&self.features);
+            let x0 = self.encoder.encode();
             if self.missing.is_empty() {
                 return x0.to_matrix();
             }
@@ -114,7 +113,7 @@ pub fn pretrain_hgca(
         let agg_t = Rc::new(agg.transpose());
 
         opt.zero_grad();
-        let x0 = encoder.encode(&data.features);
+        let x0 = encoder.encode();
         let recon = spmm(&agg, &agg_t, &x0).gather_rows(masked).matmul(&w_mean); // (k, d)
         let truth = x0.gather_rows(masked); // (k, d)
         // InfoNCE: each reconstruction must pick out its own node.
@@ -140,7 +139,6 @@ pub fn pretrain_hgca(
         missing: ctx_missing,
         num_nodes: data.graph.num_nodes(),
         model,
-        features: data.features.clone(),
     }
 }
 

@@ -167,7 +167,6 @@ pub struct HgnnAcPipe {
     att_t: Rc<Csr>,
     missing: Vec<u32>,
     num_nodes: usize,
-    features: Vec<Option<Matrix>>,
 }
 
 impl HgnnAcPipe {
@@ -191,13 +190,12 @@ impl HgnnAcPipe {
             att_t: Rc::new(att_t),
             missing: data.missing_nodes(),
             num_nodes: data.graph.num_nodes(),
-            features: data.features.clone(),
         }
     }
 
     /// The attention-completed initial embedding block.
     pub fn completed_x(&self) -> Tensor {
-        let x0 = self.encoder.encode(&self.features);
+        let x0 = self.encoder.encode();
         if self.missing.is_empty() {
             return x0;
         }

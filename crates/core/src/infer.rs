@@ -35,14 +35,10 @@ fn malformed(section: &str, reason: &'static str) -> CkptError {
     CkptError::Malformed { section: section.to_string(), reason }
 }
 
-/// A loaded, query-ready model: dataset, resident [`OpCache`], backbone,
-/// and the materialized completed-attribute block.
+/// A loaded, query-ready model: dataset, backbone, and the materialized
+/// completed-attribute block.
 pub struct InferenceModel {
     data: Dataset,
-    /// Kept alive so reloads over the same graph could share operators and
-    /// because the pipeline's CSRs borrow nothing from it (Rc-shared).
-    #[allow(dead_code)]
-    cache: OpCache,
     pipe: Pipeline,
     /// Materialized completed attributes, `(N, in_dim)`.
     attrs: Matrix,
@@ -120,19 +116,12 @@ impl InferenceModel {
             .collect::<Option<_>>()
             .ok_or_else(|| malformed("assignment", "op index out of range"))?;
 
-        let cache = OpCache::new(&data.graph);
         // Replaying the recorded construction RNG makes every sampled
         // initial parameter (hence every parameter shape and ordering)
         // identical to the exporting process.
         let mut rng = StdRng::from_state(state.ctor_rng);
-        let pipe = Pipeline::new_cached(
-            &data,
-            backbone,
-            &cfg,
-            CompletionMode::Assigned(assignment),
-            &cache,
-            &mut rng,
-        );
+        let pipe =
+            Pipeline::new(&data, backbone, &cfg, CompletionMode::Assigned(assignment), &mut rng);
         let params = pipe.params();
         if params.len() != state.params.len() {
             return Err(malformed("params", "parameter count disagrees with pipeline"));
@@ -149,7 +138,6 @@ impl InferenceModel {
         let x = Tensor::constant(attrs.clone());
         Ok(Self {
             data,
-            cache,
             pipe,
             attrs,
             x,

@@ -8,9 +8,9 @@
 //!   cuts it into cores of `batch_size` nodes, and expands each core with
 //!   the deterministic [`NeighborSampler`](crate::sampler::NeighborSampler).
 //! - **Shard** (`shards ≥ 2`): the graph is partitioned once by
-//!   [`ShardPlan`] into type-aware shards (core ∪ full 1-hop halo); every
-//!   epoch steps through the shards, whose operators live in a
-//!   [`ShardedOpCache`] keyed by segment fingerprint.
+//!   [`ShardPlan`] into type-aware shards (core ∪ full 1-hop halo), each
+//!   built once into a batch with its own operators; every epoch steps
+//!   through the shards.
 //!
 //! Both run on the one training loop and the one search loop the
 //! whole-graph path uses. The degenerate configuration
@@ -29,10 +29,10 @@ use autoac_completion::{
     CompletionOp, CompletionOps,
 };
 use autoac_data::Dataset;
-use autoac_graph::{HeteroGraph, OpCache, ShardPlan, ShardStrategy, ShardedOpCache};
+use autoac_graph::{HeteroGraph, OpCache, ShardPlan, ShardStrategy};
 use autoac_nn::models::{Gcn, Gnn};
 use autoac_nn::{FeatureEncoder, Forward, GnnConfig};
-use autoac_tensor::{Matrix, Tensor};
+use autoac_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -70,7 +70,8 @@ pub struct MinibatchConfig {
     /// Shard count; `≥ 2` switches to the shard schedule (which takes
     /// precedence over `batch_size`).
     pub shards: usize,
-    /// Partitioning strategy for the shard schedule.
+    /// Partitioning strategy for the shard schedule. It has one value; the
+    /// field stays because the benchmark sets it.
     pub strategy: ShardStrategy,
 }
 
@@ -157,7 +158,6 @@ pub struct MinibatchPipeline {
     pub ops: CompletionOps,
     /// GCN backbone (whole-graph `Â` inside; batches supply their own).
     pub gcn: Gcn,
-    features: Vec<Option<Matrix>>,
     mode: CompletionMode,
     has_attr: Vec<bool>,
     /// Global node id → position in the global missing list
@@ -194,15 +194,7 @@ impl MinibatchPipeline {
         for (i, &v) in ops.ctx().missing.iter().enumerate() {
             missing_index[v as usize] = i as u32;
         }
-        Self {
-            encoder,
-            ops,
-            gcn,
-            features: data.features.clone(),
-            mode,
-            has_attr,
-            missing_index,
-        }
+        Self { encoder, ops, gcn, mode, has_attr, missing_index }
     }
 
     /// Replaces the completion mode (e.g. after a search).
@@ -219,7 +211,7 @@ impl MinibatchPipeline {
     /// missing rows with the shared op parameters against the batch
     /// operators, and run the GCN stack over the batch's `Â`.
     fn forward_batch(&self, bd: &BatchData, training: bool, rng: &mut StdRng) -> Forward {
-        let x0 = self.encoder.encode_subset(&self.features, &bd.nodes);
+        let x0 = self.encoder.encode_subset(&bd.nodes);
         let x = match &self.mode {
             CompletionMode::Zero => x0,
             CompletionMode::Single(op) => {
@@ -238,7 +230,7 @@ impl MinibatchPipeline {
 
 impl ForwardPipe for MinibatchPipeline {
     fn forward(&self, training: bool, rng: &mut StdRng) -> Forward {
-        let x0 = self.encoder.encode(&self.features);
+        let x0 = self.encoder.encode();
         let x = match &self.mode {
             CompletionMode::Zero => x0,
             CompletionMode::Single(op) => {
@@ -270,7 +262,7 @@ impl ForwardPipe for MinibatchPipeline {
 
 /// How a run's batches are made.
 enum Mode {
-    /// Precomputed shard batches (core ∪ halo subgraphs with cached ops).
+    /// Precomputed shard batches (core ∪ halo subgraphs with their ops).
     Shards { batches: Vec<BatchData>, plan_fp: u64 },
     /// Per-epoch neighbor-sampled batches over the shuffled train split,
     /// plus one fixed validation batch.
@@ -299,10 +291,10 @@ fn membership_mask(n: usize, ids: &[u32]) -> Vec<bool> {
 }
 
 impl<'a> Schedule<'a> {
-    /// Builds the run's schedule. Shard batches (and their cached
-    /// operators) are extracted once up front; sampled mode builds its
-    /// fixed validation batch (a deterministic subset of the val split plus
-    /// sampled halo). Draws nothing from the training RNG.
+    /// Builds the run's schedule. Shard batches (and their operators) are
+    /// extracted once up front; sampled mode builds its fixed validation
+    /// batch (a deterministic subset of the val split plus sampled halo).
+    /// Draws nothing from the training RNG.
     fn new(
         pipe: &'a MinibatchPipeline,
         data: &'a Dataset,
@@ -323,14 +315,10 @@ impl<'a> Schedule<'a> {
         };
         s.mode = if mb.is_sharded() {
             let plan = ShardPlan::partition(&data.graph, mb.strategy, mb.shards);
-            let seg_cache = ShardedOpCache::new();
             let batches = plan
                 .extract_all(&data.graph)
                 .into_iter()
-                .map(|shard| {
-                    let seg = seg_cache.for_graph(&shard.graph);
-                    s.batch(shard.nodes, &shard.is_core, shard.graph, Some(&seg))
-                })
+                .map(|shard| s.batch(shard.nodes, &shard.is_core, shard.graph))
                 .collect();
             Mode::Shards { batches, plan_fp: plan.fingerprint() }
         } else {
@@ -359,21 +347,10 @@ impl<'a> Schedule<'a> {
     }
 
     /// Builds one [`BatchData`] from a selection and its induced subgraph.
-    /// `cache` is the shard-segment cache (reused operators) or `None` for
-    /// one-shot sampled batches.
-    fn batch(
-        &self,
-        nodes: Vec<u32>,
-        is_core: &[bool],
-        graph: HeteroGraph,
-        cache: Option<&OpCache>,
-    ) -> BatchData {
+    fn batch(&self, nodes: Vec<u32>, is_core: &[bool], graph: HeteroGraph) -> BatchData {
         let has_attr_sub: Vec<bool> =
             nodes.iter().map(|&v| self.pipe.has_attr[v as usize]).collect();
-        let ctx = match cache {
-            Some(c) => CompletionContext::build_cached(&graph, &has_attr_sub, c),
-            None => CompletionContext::build(&graph, &has_attr_sub),
-        };
+        let ctx = CompletionContext::build(&graph, &has_attr_sub);
         let onehot_rows: Vec<u32> = ctx
             .missing
             .iter()
@@ -404,7 +381,7 @@ impl<'a> Schedule<'a> {
     fn sample(&self, sampler: &NeighborSampler, core: &[u32], epoch: u64, batch: u64) -> BatchData {
         let mut rng = batch_rng(self.seed, epoch, batch);
         let b = sampler.sample(&self.data.graph, core, self.mb.fanout, self.mb.hops, &mut rng);
-        self.batch(b.nodes, &b.is_core, b.graph, None)
+        self.batch(b.nodes, &b.is_core, b.graph)
     }
 
     /// The sampled-mode batch cores for one epoch: the train split shuffled
@@ -587,7 +564,7 @@ impl SearchSchedule for Batched<'_> {
             return None;
         }
         let pipe = self.schedule.pipe;
-        let x0 = pipe.encoder.encode_subset(&pipe.features, &bd.nodes);
+        let x0 = pipe.encoder.encode_subset(&bd.nodes);
         let x = match fill {
             Fill::Mixture(w) => {
                 let clusters: Vec<u32> =

@@ -6,7 +6,7 @@ use autoac_data::Dataset;
 use autoac_graph::OpCache;
 use autoac_nn::models::{Gat, GatneLite, Gcn, GtnLite, Han, HetGnnLite, HetSannLite, HgtLite, Magnn, SimpleHgn};
 use autoac_nn::{FeatureEncoder, Forward, Gnn, GnnConfig};
-use autoac_tensor::{Matrix, Tensor};
+use autoac_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -162,7 +162,6 @@ pub struct Pipeline {
     pub ops: CompletionOps,
     /// The GNN backbone.
     pub model: Box<dyn Gnn>,
-    features: Vec<Option<Matrix>>,
     mode: CompletionMode,
 }
 
@@ -195,12 +194,12 @@ impl Pipeline {
         let ctx = CompletionContext::build_cached(&data.graph, &data.has_attr(), cache);
         let ops = CompletionOps::new(ctx, cfg.in_dim, rng);
         let model = backbone.build_cached(data, cfg, cache, rng);
-        Self { encoder, ops, model, features: data.features.clone(), mode }
+        Self { encoder, ops, model, mode }
     }
 
     /// The `(N, d)` projected-attribute block (zeros at missing rows).
     pub fn x0(&self) -> Tensor {
-        self.encoder.encode(&self.features)
+        self.encoder.encode()
     }
 
     /// The completed initial embedding under the pipeline's mode.

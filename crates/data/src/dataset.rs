@@ -125,68 +125,6 @@ impl Dataset {
         d
     }
 
-    /// Drops the features of node type `t` (marks them missing).
-    pub fn with_missing_features(&self, t: NodeTypeId) -> Dataset {
-        let mut d = self.clone();
-        d.features[t] = None;
-        d
-    }
-
-    /// Rebuilds the dataset under a within-type node [`Reordering`]: the
-    /// graph is renumbered and every node-aligned payload — per-type feature
-    /// rows, target-local labels, split ids — moves with its node. Applying
-    /// a reordering and then its inverse reproduces the original dataset
-    /// bitwise on every field.
-    ///
-    /// [`Reordering`]: autoac_graph::Reordering
-    pub fn reordered(&self, r: &autoac_graph::Reordering) -> Dataset {
-        assert_eq!(
-            r.len(),
-            self.graph.num_nodes(),
-            "Dataset::reordered: permutation covers {} nodes, graph has {}",
-            r.len(),
-            self.graph.num_nodes()
-        );
-        let graph = r.apply(&self.graph);
-        let features: Vec<Option<Matrix>> = self
-            .features
-            .iter()
-            .enumerate()
-            .map(|(t, feat)| {
-                feat.as_ref().map(|m| {
-                    let start = self.graph.nodes_of_type(t).start;
-                    let mut out = Matrix::zeros(m.rows(), m.cols());
-                    for old_local in 0..m.rows() {
-                        let new_local = r.new_of_old(start + old_local) - start;
-                        out.row_mut(new_local).copy_from_slice(m.row(old_local));
-                    }
-                    out
-                })
-            })
-            .collect();
-        let t_start = self.graph.nodes_of_type(self.target_type).start;
-        let mut labels = self.labels.clone();
-        for (old_local, &l) in self.labels.iter().enumerate() {
-            labels[r.new_of_old(t_start + old_local) - t_start] = l;
-        }
-        let map_ids =
-            |ids: &[u32]| ids.iter().map(|&v| r.new_of_old(v as usize) as u32).collect();
-        Dataset {
-            name: self.name.clone(),
-            graph,
-            features,
-            labels,
-            num_classes: self.num_classes,
-            target_type: self.target_type,
-            split: Split {
-                train: map_ids(&self.split.train),
-                val: map_ids(&self.split.val),
-                test: map_ids(&self.split.test),
-            },
-            lp_edge_type: self.lp_edge_type,
-        }
-    }
-
     /// One-line Table-I-style statistics row.
     pub fn stats_row(&self) -> String {
         let per_type: Vec<String> = (0..self.graph.num_node_types())
@@ -260,49 +198,6 @@ mod tests {
         assert!(with.features[1].is_some());
         assert_eq!(with.features[1].as_ref().unwrap().shape(), (3, 3));
         assert!((with.missing_rate() - 0.0).abs() < 1e-9);
-        let without = d.with_missing_features(0);
-        assert_eq!(without.missing_nodes().len(), 7);
-    }
-
-    #[test]
-    fn reordered_moves_payloads_with_nodes_and_round_trips() {
-        let d = toy_dataset();
-        for strategy in [
-            autoac_graph::ReorderStrategy::DegreeSorted,
-            autoac_graph::ReorderStrategy::BfsClustered,
-        ] {
-            let r = autoac_graph::Reordering::compute(&d.graph, strategy);
-            let rd = d.reordered(&r);
-            // Labels follow their nodes.
-            for v in d.graph.nodes_of_type(d.target_type) {
-                assert_eq!(
-                    rd.label_of(r.new_of_old(v) as u32),
-                    d.label_of(v as u32),
-                    "{strategy:?}: label moved wrong"
-                );
-            }
-            // Feature rows follow their nodes.
-            let (old_f, new_f) =
-                (d.features[0].as_ref().unwrap(), rd.features[0].as_ref().unwrap());
-            for old_local in 0..old_f.rows() {
-                let new_local = r.new_of_old(old_local); // type 0 starts at 0
-                assert_eq!(new_f.row(new_local), old_f.row(old_local));
-            }
-            // Round trip is bitwise identity on every field.
-            let back = rd.reordered(&r.inverse());
-            assert_eq!(
-                back.graph.structural_fingerprint(),
-                d.graph.structural_fingerprint()
-            );
-            assert_eq!(back.labels, d.labels);
-            assert_eq!(back.split.train, d.split.train);
-            assert_eq!(back.split.val, d.split.val);
-            assert_eq!(back.split.test, d.split.test);
-            assert_eq!(
-                back.features[0].as_ref().unwrap().data(),
-                d.features[0].as_ref().unwrap().data()
-            );
-        }
     }
 
     #[test]

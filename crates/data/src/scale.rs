@@ -132,8 +132,8 @@ impl Zipf {
 }
 
 /// O(1) bijection `rank → local id` inside one node type, so hub ranks land
-/// on scattered ids instead of a sorted prefix (the cache-reordering pass
-/// would otherwise be a no-op on generated graphs).
+/// on scattered ids instead of a sorted prefix, as in real graphs' id
+/// orders.
 struct Scramble {
     a: u64,
     b: u64,

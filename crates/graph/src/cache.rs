@@ -188,60 +188,6 @@ impl OpCache {
     }
 }
 
-/// Registry of per-segment [`OpCache`]s for sharded / minibatch training.
-///
-/// Whole-graph training binds one `OpCache` to one immutable graph. Sharded
-/// training works over many small induced subgraphs (one per shard or
-/// sampled minibatch), each with its own structural fingerprint; this
-/// registry keys a cache per segment fingerprint so repeated visits to the
-/// same shard reuse its operators while distinct subgraphs can never collide
-/// (the inner `OpCache` still re-checks its fingerprint on every get).
-pub struct ShardedOpCache {
-    segments: RefCell<HashMap<u64, Rc<OpCache>>>,
-}
-
-impl ShardedOpCache {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self { segments: RefCell::new(HashMap::new()) }
-    }
-
-    /// The cache for `g`'s structure, created on first use.
-    pub fn for_graph(&self, g: &HeteroGraph) -> Rc<OpCache> {
-        let fp = g.structural_fingerprint();
-        if let Some(hit) = self.segments.borrow().get(&fp) {
-            autoac_obs::counter_add("opcache_segment_hits", 1);
-            return Rc::clone(hit);
-        }
-        autoac_obs::counter_add("opcache_segment_misses", 1);
-        let cache = Rc::new(OpCache::new(g));
-        self.segments.borrow_mut().insert(fp, Rc::clone(&cache));
-        cache
-    }
-
-    /// Number of distinct segments seen so far.
-    pub fn num_segments(&self) -> usize {
-        self.segments.borrow().len()
-    }
-
-    /// Aggregated `(hits, misses)` across every segment cache.
-    pub fn stats(&self) -> (usize, usize) {
-        self.segments
-            .borrow()
-            .values()
-            .fold((0, 0), |(h, m), c| {
-                let (ch, cm) = c.stats();
-                (h + ch, m + cm)
-            })
-    }
-}
-
-impl Default for ShardedOpCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,28 +272,5 @@ mod tests {
         let (g, _) = toy();
         let cache = OpCache::new(&g);
         let _ = cache.get(&g, NormOp::MeanAttr, None, None, false);
-    }
-
-    #[test]
-    fn sharded_cache_keys_segments_by_fingerprint() {
-        let (g, _) = toy();
-        let mut b = HeteroGraph::builder();
-        b.add_node_type("x", 4);
-        let other = b.build();
-
-        let reg = ShardedOpCache::new();
-        let c1 = reg.for_graph(&g);
-        let c2 = reg.for_graph(&g);
-        assert!(Rc::ptr_eq(&c1, &c2), "same structure must share a segment cache");
-        let c3 = reg.for_graph(&other);
-        assert!(!Rc::ptr_eq(&c1, &c3), "distinct structures get distinct caches");
-        assert_eq!(reg.num_segments(), 2);
-
-        // Operators served through segment caches behave like direct ones.
-        let a = c1.sym_norm_adj(&g);
-        let b2 = reg.for_graph(&g).sym_norm_adj(&g);
-        assert!(Rc::ptr_eq(&a, &b2));
-        let (hits, misses) = reg.stats();
-        assert_eq!((hits, misses), (1, 1));
     }
 }

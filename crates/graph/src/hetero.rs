@@ -142,19 +142,9 @@ impl HeteroGraph {
         &self.node_type_names[t]
     }
 
-    /// Looks up a node type by name.
-    pub fn node_type_by_name(&self, name: &str) -> Option<NodeTypeId> {
-        self.node_type_names.iter().position(|n| n == name)
-    }
-
     /// Metadata of edge type `e`.
     pub fn edge_type(&self, e: EdgeTypeId) -> &EdgeType {
         &self.edge_types[e]
-    }
-
-    /// Looks up an edge type by name.
-    pub fn edge_type_by_name(&self, name: &str) -> Option<EdgeTypeId> {
-        self.edge_types.iter().position(|et| et.name == name)
     }
 
     /// Global id range of node type `t`.
@@ -266,6 +256,7 @@ mod tests {
         assert_eq!(g.nodes_of_type(0), 0..3);
         assert_eq!(g.nodes_of_type(1), 3..5);
         assert_eq!(g.nodes_of_type(2), 5..6);
+        assert_eq!(g.edge_type(0).name, "movie-actor");
     }
 
     #[test]
@@ -278,15 +269,6 @@ mod tests {
         assert_eq!(g.local_index(3), 0);
         assert_eq!(g.local_index(4), 1);
         assert_eq!(g.local_index(5), 0);
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let g = toy();
-        assert_eq!(g.node_type_by_name("actor"), Some(1));
-        assert_eq!(g.node_type_by_name("nope"), None);
-        assert_eq!(g.edge_type_by_name("movie-director"), Some(1));
-        assert_eq!(g.edge_type(0).name, "movie-actor");
     }
 
     #[test]

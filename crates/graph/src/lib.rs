@@ -12,12 +12,10 @@ mod hetero;
 pub mod metapath;
 pub mod norm;
 pub mod ppr;
-pub mod reorder;
 pub mod shard;
 pub mod walk;
 
 pub use adjacency::Adjacency;
-pub use cache::{OpCache, ShardedOpCache};
+pub use cache::OpCache;
 pub use hetero::{EdgeType, EdgeTypeId, HeteroGraph, HeteroGraphBuilder, NodeTypeId};
-pub use reorder::{ReorderStrategy, Reordering};
 pub use shard::{Shard, ShardPlan, ShardStrategy};

@@ -114,19 +114,6 @@ pub fn metapath_adjacency(
     Csr::from_coo(n, n, triplets)
 }
 
-/// Row-normalizes a metapath adjacency in place-ish (returns a new CSR with
-/// each row scaled to sum 1; empty rows stay empty).
-pub fn row_normalize(csr: &Csr) -> Csr {
-    let sums = csr.row_sums();
-    let n = csr.n_rows();
-    let triplets = (0..n).flat_map(|r| {
-        let s = sums[r];
-        csr.row(r)
-            .map(move |(c, v)| (r as u32, c, if s > 0.0 { v / s } else { 0.0 }))
-            .collect::<Vec<_>>()
-    });
-    Csr::from_coo(n, csr.n_cols(), triplets)
-}
 
 #[cfg(test)]
 mod tests {
@@ -189,24 +176,6 @@ mod tests {
         assert_eq!(d.get(1, 1), 2.0);
         // Movies 0 and 2 share no actor.
         assert_eq!(d.get(0, 2), 0.0);
-    }
-
-    #[test]
-    fn row_normalize_sums_to_one_or_zero() {
-        let (g, adj) = toy();
-        let mp = Metapath::new(vec![0, 1, 0]);
-        let mut rng = StdRng::seed_from_u64(0);
-        let a = metapath_adjacency(
-            &adj,
-            &mp,
-            g.nodes_of_type(0).map(|v| v as u32),
-            1000,
-            &mut rng,
-        );
-        let norm = row_normalize(&a);
-        for (r, s) in norm.row_sums().iter().enumerate() {
-            assert!(*s == 0.0 || (s - 1.0).abs() < 1e-6, "row {r} sums to {s}");
-        }
     }
 
     #[test]

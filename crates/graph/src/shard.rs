@@ -13,18 +13,14 @@
 //! under sharding — documented, measured by `bench_shard`, never silently
 //! assumed exact.
 //!
-//! Two strategies:
+//! One strategy, [`ShardStrategy::DegreeLocality`]: deterministic BFS growth
+//! seeded from the highest-degree unassigned node, capacity-capped at
+//! `ceil(n/k)`; it clusters neighborhoods into the same shard so halos (and
+//! therefore per-shard operator size) shrink.
 //!
-//! * [`ShardStrategy::Hash`] — stateless splitmix64 of the node id; perfect
-//!   expected balance, no locality.
-//! * [`ShardStrategy::DegreeLocality`] — deterministic BFS growth seeded
-//!   from the highest-degree unassigned node, capacity-capped at
-//!   `ceil(n/k)`; clusters neighborhoods into the same shard so halos (and
-//!   therefore per-shard operator size) shrink.
-//!
-//! Both are fully deterministic functions of `(graph, strategy, k)`, and the
-//! plan exposes a [`ShardPlan::fingerprint`] over exactly those inputs plus
-//! the resulting assignment so checkpoint identity guards can bind a resumed
+//! A plan is a deterministic function of `(graph, k)`, and exposes a
+//! [`ShardPlan::fingerprint`] over the graph, the strategy tag, `k` and the
+//! resulting assignment so checkpoint identity guards can bind a resumed
 //! run to the same partition.
 
 use std::collections::VecDeque;
@@ -36,38 +32,19 @@ use crate::hetero::{HeteroGraph, NodeTypeId};
 /// Partitioning strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShardStrategy {
-    /// Stateless hash of the global node id (splitmix64 mod `k`).
-    Hash,
     /// Capacity-capped BFS growth from degree-sorted seeds.
     DegreeLocality,
 }
 
 impl ShardStrategy {
-    /// Stable numeric tag, used in plan and checkpoint fingerprints.
+    /// Stable numeric tag, used in plan and checkpoint fingerprints; it
+    /// must stay 1 so that plan fingerprints and checkpoint `segment_fp`
+    /// values written so far still match.
     pub fn tag(self) -> u8 {
         match self {
-            ShardStrategy::Hash => 0,
             ShardStrategy::DegreeLocality => 1,
         }
     }
-
-    /// Parses the spellings accepted by bench flags / env knobs.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "hash" => Some(ShardStrategy::Hash),
-            "degree" | "locality" | "degree-locality" => Some(ShardStrategy::DegreeLocality),
-            _ => None,
-        }
-    }
-}
-
-/// splitmix64 — the same stateless mixer the vendored rand uses for seeding;
-/// good avalanche, so sequential node ids spread uniformly across shards.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A complete node→shard assignment for one graph.
@@ -85,16 +62,12 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Partitions every node of `g` into `num_shards` shards.
     ///
-    /// Deterministic: the same `(graph, strategy, num_shards)` always yields
-    /// the same assignment, at any thread count.
+    /// Deterministic: the same `(graph, num_shards)` always yields the same
+    /// assignment, at any thread count.
     pub fn partition(g: &HeteroGraph, strategy: ShardStrategy, num_shards: usize) -> Self {
         assert!(num_shards >= 1, "ShardPlan: num_shards must be >= 1");
         let _span = autoac_obs::span("shard_partition");
-        let n = g.num_nodes();
         let shard_of = match strategy {
-            ShardStrategy::Hash => (0..n)
-                .map(|v| (splitmix64(v as u64) % num_shards as u64) as u32)
-                .collect(),
             ShardStrategy::DegreeLocality => degree_locality_assign(g, num_shards),
         };
         let mut core_counts = vec![0usize; num_shards];
@@ -115,11 +88,6 @@ impl ShardPlan {
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.num_shards
-    }
-
-    /// The strategy this plan was computed with.
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// Owning shard of global node `v`.
@@ -149,13 +117,6 @@ impl ShardPlan {
         self.num_shards.hash(&mut h);
         self.shard_of.hash(&mut h);
         h.finish()
-    }
-
-    /// Extracts shard `s` (builds a throwaway [`Adjacency`]; use
-    /// [`ShardPlan::extract_all`] to amortize it across shards).
-    pub fn extract(&self, g: &HeteroGraph, s: usize) -> Shard {
-        let adj = Adjacency::build(g);
-        self.extract_with(g, &adj, s)
     }
 
     /// Extracts every shard, sharing one adjacency build.
@@ -309,26 +270,6 @@ impl Shard {
         self.nodes[i]
     }
 
-    /// Number of core (owned) nodes.
-    pub fn num_core(&self) -> usize {
-        self.is_core.iter().filter(|&&c| c).count()
-    }
-
-    /// Global ids of the core nodes, ascending.
-    pub fn core_globals(&self) -> Vec<u32> {
-        self.nodes
-            .iter()
-            .zip(&self.is_core)
-            .filter_map(|(&v, &c)| c.then_some(v))
-            .collect()
-    }
-
-    /// Restricts a per-node value vector of the parent graph to this
-    /// shard's nodes, in shard-local order.
-    pub fn gather_values<T: Clone>(&self, parent: &[T]) -> Vec<T> {
-        self.nodes.iter().map(|&v| parent[v as usize].clone()).collect()
-    }
-
     /// Per-type neighbor list of a *core* node, read from the induced
     /// subgraph but reported in global ids — the unit the completion-op
     /// preservation tests compare against the parent graph.
@@ -375,17 +316,15 @@ mod tests {
     #[test]
     fn every_node_in_exactly_one_shard_both_strategies() {
         let g = toy();
-        for strategy in [ShardStrategy::Hash, ShardStrategy::DegreeLocality] {
-            for k in 1..=4 {
-                let plan = ShardPlan::partition(&g, strategy, k);
-                let mut counts = vec![0usize; k];
-                for v in 0..g.num_nodes() {
-                    counts[plan.shard_of(v)] += 1;
-                }
-                assert_eq!(counts.iter().sum::<usize>(), g.num_nodes());
-                for s in 0..k {
-                    assert_eq!(counts[s], plan.core_count(s), "{strategy:?} k={k}");
-                }
+        for k in 1..=4 {
+            let plan = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, k);
+            let mut counts = vec![0usize; k];
+            for v in 0..g.num_nodes() {
+                counts[plan.shard_of(v)] += 1;
+            }
+            assert_eq!(counts.iter().sum::<usize>(), g.num_nodes());
+            for s in 0..k {
+                assert_eq!(counts[s], plan.core_count(s), "k={k}");
             }
         }
     }
@@ -403,45 +342,38 @@ mod tests {
     #[test]
     fn partition_is_deterministic() {
         let g = toy();
-        for strategy in [ShardStrategy::Hash, ShardStrategy::DegreeLocality] {
-            let a = ShardPlan::partition(&g, strategy, 2);
-            let b = ShardPlan::partition(&g, strategy, 2);
-            assert_eq!(a.shard_of, b.shard_of);
-            assert_eq!(a.fingerprint(), b.fingerprint());
-        }
+        let a = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 2);
+        let b = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 2);
+        assert_eq!(a.shard_of, b.shard_of);
+        assert_eq!(a.fingerprint(), b.fingerprint());
     }
 
     #[test]
     fn fingerprint_binds_strategy_and_k() {
         let g = toy();
-        let hash2 = ShardPlan::partition(&g, ShardStrategy::Hash, 2);
-        let hash3 = ShardPlan::partition(&g, ShardStrategy::Hash, 3);
         let loc2 = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 2);
-        assert_ne!(hash2.fingerprint(), hash3.fingerprint());
-        assert_ne!(hash2.fingerprint(), loc2.fingerprint());
+        let loc3 = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 3);
+        assert_ne!(loc2.fingerprint(), loc3.fingerprint());
     }
 
     #[test]
     fn shard_keeps_core_typed_neighborhoods_intact() {
         let g = toy();
         let full = Adjacency::build(&g);
-        for strategy in [ShardStrategy::Hash, ShardStrategy::DegreeLocality] {
-            let plan = ShardPlan::partition(&g, strategy, 2);
-            for shard in plan.extract_all(&g) {
-                let sub_adj = Adjacency::build(&shard.graph);
-                for (i, &v) in shard.nodes.iter().enumerate() {
-                    if !shard.is_core[i] {
-                        continue;
-                    }
-                    for t in 0..g.num_node_types() {
-                        let mut want: Vec<u32> = full.typed_neighbors(v as usize, t).to_vec();
-                        want.sort_unstable();
-                        let mut got = shard
-                            .core_typed_neighbors(&sub_adj, v, t)
-                            .expect("core node present");
-                        got.sort_unstable();
-                        assert_eq!(got, want, "{strategy:?} node {v} type {t}");
-                    }
+        let plan = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 2);
+        for shard in plan.extract_all(&g) {
+            let sub_adj = Adjacency::build(&shard.graph);
+            for (i, &v) in shard.nodes.iter().enumerate() {
+                if !shard.is_core[i] {
+                    continue;
+                }
+                for t in 0..g.num_node_types() {
+                    let mut want: Vec<u32> = full.typed_neighbors(v as usize, t).to_vec();
+                    want.sort_unstable();
+                    let mut got =
+                        shard.core_typed_neighbors(&sub_adj, v, t).expect("core node present");
+                    got.sort_unstable();
+                    assert_eq!(got, want, "node {v} type {t}");
                 }
             }
         }
@@ -450,8 +382,8 @@ mod tests {
     #[test]
     fn induced_subgraph_preserves_schema_and_type_contiguity() {
         let g = toy();
-        let plan = ShardPlan::partition(&g, ShardStrategy::Hash, 2);
-        let shard = plan.extract(&g, 0);
+        let plan = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 2);
+        let shard = &plan.extract_all(&g)[0];
         assert_eq!(shard.graph.num_node_types(), g.num_node_types());
         assert_eq!(shard.graph.num_edge_types(), g.num_edge_types());
         // Every present node's type matches its parent's type.
@@ -469,22 +401,14 @@ mod tests {
     fn single_shard_is_the_whole_graph() {
         let g = toy();
         let plan = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, 1);
-        let shard = plan.extract(&g, 0);
+        let shard = &plan.extract_all(&g)[0];
         assert_eq!(shard.nodes.len(), g.num_nodes());
-        assert_eq!(shard.num_core(), g.num_nodes());
+        assert!(shard.is_core.iter().all(|&c| c), "every node is core");
         assert_eq!(
             shard.graph.structural_fingerprint(),
             g.structural_fingerprint(),
             "one shard with full halo must induce the identical graph"
         );
-    }
-
-    #[test]
-    fn strategy_parse_roundtrip() {
-        assert_eq!(ShardStrategy::parse("hash"), Some(ShardStrategy::Hash));
-        assert_eq!(ShardStrategy::parse("degree"), Some(ShardStrategy::DegreeLocality));
-        assert_eq!(ShardStrategy::parse("locality"), Some(ShardStrategy::DegreeLocality));
-        assert_eq!(ShardStrategy::parse("nope"), None);
     }
 
     #[test]

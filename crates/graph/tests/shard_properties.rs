@@ -1,11 +1,8 @@
-//! Property-based tests for the partitioner and the cache reordering:
-//! every node lands in exactly one shard's core, per-type core
-//! neighborhoods survive sharding intact, and reordering round-trips
-//! bitwise on node-aligned payloads.
+//! Property-based tests for the partitioner: every node lands in exactly
+//! one shard's core, and per-type core neighborhoods survive sharding
+//! intact.
 
-use autoac_graph::{
-    Adjacency, HeteroGraph, ReorderStrategy, Reordering, ShardPlan, ShardStrategy,
-};
+use autoac_graph::{Adjacency, HeteroGraph, ShardPlan, ShardStrategy};
 use proptest::prelude::*;
 
 /// Strategy: a random 3-type graph with two cross-type edge types (possibly
@@ -36,10 +33,6 @@ fn random_graph() -> impl Strategy<Value = HeteroGraph> {
         })
 }
 
-fn strategies() -> [ShardStrategy; 2] {
-    [ShardStrategy::Hash, ShardStrategy::DegreeLocality]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -48,32 +41,28 @@ proptest! {
         g in random_graph(),
         k in 1usize..5,
     ) {
-        for strategy in strategies() {
-            let plan = ShardPlan::partition(&g, strategy, k);
-            // The plan's map covers every node with a valid shard index…
-            let mut owners = vec![0usize; g.num_nodes()];
-            for v in 0..g.num_nodes() {
-                prop_assert!(plan.shard_of(v) < k, "{strategy:?}: shard index out of range");
-                owners[v] += 1;
-            }
-            // …and the extracted shards' cores tile the node set exactly.
-            let mut core_seen = vec![0usize; g.num_nodes()];
-            for shard in plan.extract_all(&g) {
-                for (i, &v) in shard.nodes.iter().enumerate() {
-                    if shard.is_core[i] {
-                        prop_assert_eq!(
-                            plan.shard_of(v as usize), shard.index,
-                            "{:?}: core node outside its planned shard", strategy
-                        );
-                        core_seen[v as usize] += 1;
-                    }
+        let plan = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, k);
+        // The plan's map covers every node with a valid shard index…
+        for v in 0..g.num_nodes() {
+            prop_assert!(plan.shard_of(v) < k, "shard index out of range");
+        }
+        // …and the extracted shards' cores tile the node set exactly.
+        let mut core_seen = vec![0usize; g.num_nodes()];
+        for shard in plan.extract_all(&g) {
+            for (i, &v) in shard.nodes.iter().enumerate() {
+                if shard.is_core[i] {
+                    prop_assert_eq!(
+                        plan.shard_of(v as usize), shard.index,
+                        "core node outside its planned shard"
+                    );
+                    core_seen[v as usize] += 1;
                 }
             }
-            prop_assert!(
-                core_seen.iter().all(|&c| c == 1),
-                "{strategy:?}: cores must tile the node set exactly once, got {core_seen:?}"
-            );
         }
+        prop_assert!(
+            core_seen.iter().all(|&c| c == 1),
+            "cores must tile the node set exactly once, got {core_seen:?}"
+        );
     }
 
     #[test]
@@ -82,31 +71,28 @@ proptest! {
         k in 1usize..5,
     ) {
         let adj = Adjacency::build(&g);
-        for strategy in strategies() {
-            let plan = ShardPlan::partition(&g, strategy, k);
-            for shard in plan.extract_all(&g) {
-                let sub_adj = Adjacency::build(&shard.graph);
-                for (i, &v) in shard.nodes.iter().enumerate() {
-                    if !shard.is_core[i] {
-                        continue;
-                    }
-                    // A core node's full typed neighborhood is inside the
-                    // shard (core ∪ 1-hop halo), with multiplicities intact.
-                    for t in 0..g.num_node_types() {
-                        let mut want: Vec<u32> = adj.typed_neighbors(v as usize, t).to_vec();
-                        let mut got: Vec<u32> = sub_adj
-                            .typed_neighbors(i, t)
-                            .iter()
-                            .map(|&j| shard.global_of(j as usize))
-                            .collect();
-                        want.sort_unstable();
-                        got.sort_unstable();
-                        prop_assert_eq!(
-                            got, want,
-                            "{:?}: type-{} neighborhood of core node {} mangled",
-                            strategy, t, v
-                        );
-                    }
+        let plan = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, k);
+        for shard in plan.extract_all(&g) {
+            let sub_adj = Adjacency::build(&shard.graph);
+            for (i, &v) in shard.nodes.iter().enumerate() {
+                if !shard.is_core[i] {
+                    continue;
+                }
+                // A core node's full typed neighborhood is inside the
+                // shard (core ∪ 1-hop halo), with multiplicities intact.
+                for t in 0..g.num_node_types() {
+                    let mut want: Vec<u32> = adj.typed_neighbors(v as usize, t).to_vec();
+                    let mut got: Vec<u32> = sub_adj
+                        .typed_neighbors(i, t)
+                        .iter()
+                        .map(|&j| shard.global_of(j as usize))
+                        .collect();
+                    want.sort_unstable();
+                    got.sort_unstable();
+                    prop_assert_eq!(
+                        got, want,
+                        "type-{} neighborhood of core node {} mangled", t, v
+                    );
                 }
             }
         }
@@ -117,38 +103,13 @@ proptest! {
         g in random_graph(),
         k in 2usize..5,
     ) {
-        let a = ShardPlan::partition(&g, ShardStrategy::Hash, k);
-        let b = ShardPlan::partition(&g, ShardStrategy::Hash, k);
+        let a = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, k);
+        let b = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, k);
         prop_assert_eq!(a.fingerprint(), b.fingerprint(), "same inputs, same fingerprint");
-        let c = ShardPlan::partition(&g, ShardStrategy::Hash, k + 1);
+        let c = ShardPlan::partition(&g, ShardStrategy::DegreeLocality, k + 1);
         prop_assert!(
             a.fingerprint() != c.fingerprint(),
             "shard count must be fingerprinted"
         );
-    }
-
-    #[test]
-    fn reordering_round_trips_payloads_bitwise(g in random_graph()) {
-        for strategy in [ReorderStrategy::DegreeSorted, ReorderStrategy::BfsClustered] {
-            let r = Reordering::compute(&g, strategy);
-            // Graph round-trip is bitwise (fingerprint + edge lists).
-            let back = r.inverse().apply(&r.apply(&g));
-            prop_assert_eq!(
-                back.structural_fingerprint(),
-                g.structural_fingerprint(),
-                "{:?}: graph round-trip broke", strategy
-            );
-            // Attribute-like payload (f32 rows) and label-like payload (u32)
-            // round-trip bitwise through permute_values.
-            let attrs: Vec<f32> = (0..g.num_nodes()).map(|v| v as f32 * 0.5 + 1.0).collect();
-            let labels: Vec<u32> = (0..g.num_nodes() as u32).map(|v| v % 5).collect();
-            let attrs_back = r.inverse().permute_values(&r.permute_values(&attrs));
-            let labels_back = r.inverse().permute_values(&r.permute_values(&labels));
-            prop_assert!(
-                attrs_back.iter().zip(&attrs).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{strategy:?}: attr payload round-trip not bitwise"
-            );
-            prop_assert_eq!(labels_back, labels, "{:?}: label round-trip broke", strategy);
-        }
     }
 }

@@ -81,12 +81,6 @@ impl EdgeIndex {
     pub fn is_empty(&self) -> bool {
         self.src.is_empty()
     }
-
-    /// Node type of the *source* node per edge (for HGT-style type-specific
-    /// projections).
-    pub fn src_node_types(&self, g: &HeteroGraph) -> Vec<u32> {
-        self.src.iter().map(|&v| g.type_of(v as usize) as u32).collect()
-    }
 }
 
 #[cfg(test)]
@@ -148,15 +142,5 @@ mod tests {
         let idx2 = EdgeIndex::from_pairs(&[(0, 1)], 3, false);
         assert_eq!(idx2.len(), 1);
         assert!(!idx2.is_empty());
-    }
-
-    #[test]
-    fn src_node_types() {
-        let g = toy();
-        let idx = EdgeIndex::typed(&g);
-        let t = idx.src_node_types(&g);
-        for (i, &s) in idx.src.iter().enumerate() {
-            assert_eq!(t[i], g.type_of(s as usize) as u32);
-        }
     }
 }

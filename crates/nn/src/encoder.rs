@@ -5,15 +5,32 @@
 //! attributes contribute zero rows — exactly the rows that attribute
 //! completion fills in (paper §III).
 
+use std::cell::OnceCell;
+
 use autoac_graph::HeteroGraph;
 use autoac_tensor::{Matrix, Tensor};
 use rand::Rng;
 
 use crate::layers::Linear;
 
+/// One node type's input to the encoder.
+enum TypeInput {
+    /// An attributed type: its projection and its raw features as a
+    /// constant.
+    Raw(Linear, Tensor),
+    /// A type without attributes: its whole-graph zero block, built by the
+    /// first [`FeatureEncoder::encode`] (a pipeline that only encodes
+    /// batches never holds it).
+    Missing(OnceCell<Tensor>),
+}
+
 /// Projects per-type raw features into a shared `(N, d)` block.
+///
+/// The raw features never change, so the encoder keeps each type's matrix
+/// as a constant tensor, and each attribute-less type's zero block once
+/// built.
 pub struct FeatureEncoder {
-    projections: Vec<Option<Linear>>,
+    types: Vec<TypeInput>,
     type_counts: Vec<usize>,
     dim: usize,
 }
@@ -30,24 +47,26 @@ impl FeatureEncoder {
         rng: &mut impl Rng,
     ) -> Self {
         assert_eq!(features.len(), graph.num_node_types(), "encoder: feature/type mismatch");
-        let projections = features
+        let type_counts: Vec<usize> =
+            (0..graph.num_node_types()).map(|t| graph.num_nodes_of_type(t)).collect();
+        let types = features
             .iter()
+            .zip(&type_counts)
             .enumerate()
-            .map(|(t, f)| {
-                f.as_ref().map(|m| {
+            .map(|(t, (f, &count))| match f {
+                Some(m) => {
                     assert_eq!(
                         m.rows(),
-                        graph.num_nodes_of_type(t),
+                        count,
                         "encoder: feature rows must match node count of type {t}"
                     );
-                    Linear::new(m.cols(), dim, true, rng)
-                })
+                    let proj = Linear::new(m.cols(), dim, true, rng);
+                    TypeInput::Raw(proj, Tensor::constant(m.clone()))
+                }
+                None => TypeInput::Missing(OnceCell::new()),
             })
             .collect();
-        let type_counts = (0..graph.num_node_types())
-            .map(|t| graph.num_nodes_of_type(t))
-            .collect();
-        Self { projections, type_counts, dim }
+        Self { types, type_counts, dim }
     }
 
     /// Shared embedding dimension.
@@ -57,15 +76,16 @@ impl FeatureEncoder {
 
     /// Encodes all nodes into an `(N, d)` tensor; rows of attribute-less
     /// nodes are zero.
-    pub fn encode(&self, features: &[Option<Matrix>]) -> Tensor {
+    pub fn encode(&self) -> Tensor {
         let blocks: Vec<Tensor> = self
-            .projections
+            .types
             .iter()
-            .zip(features)
             .zip(&self.type_counts)
-            .map(|((proj, feat), &count)| match (proj, feat) {
-                (Some(p), Some(f)) => p.forward(&Tensor::constant(f.clone())),
-                _ => Tensor::constant(Matrix::zeros(count, self.dim)),
+            .map(|(t, &count)| match t {
+                TypeInput::Raw(p, f) => p.forward(f),
+                TypeInput::Missing(zeros) => zeros
+                    .get_or_init(|| Tensor::constant(Matrix::zeros(count, self.dim)))
+                    .clone(),
             })
             .collect();
         let refs: Vec<&Tensor> = blocks.iter().collect();
@@ -79,27 +99,28 @@ impl FeatureEncoder {
     /// the projection, so cost is `O(|nodes| · d)` — independent of the
     /// graph size. Row-independent kernels (matmul + bias) make each row
     /// bitwise equal to the corresponding row of [`FeatureEncoder::encode`].
-    pub fn encode_subset(&self, features: &[Option<Matrix>], nodes: &[u32]) -> Tensor {
+    pub fn encode_subset(&self, nodes: &[u32]) -> Tensor {
         assert!(!nodes.is_empty(), "encoder: empty node subset");
         debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]), "subset must be sorted unique");
         let mut blocks: Vec<Tensor> = Vec::new();
         let mut offset = 0u32; // global id where the current type starts
         let mut cursor = 0usize; // position in `nodes`
-        for ((proj, feat), &count) in self.projections.iter().zip(features).zip(&self.type_counts)
-        {
+        for (t, &count) in self.types.iter().zip(&self.type_counts) {
             let end = offset + count as u32;
             let start = cursor;
             while cursor < nodes.len() && nodes[cursor] < end {
                 cursor += 1;
             }
             if cursor > start {
-                let block = match (proj, feat) {
-                    (Some(p), Some(f)) => {
+                let block = match t {
+                    TypeInput::Raw(p, f) => {
                         let local: Vec<u32> =
                             nodes[start..cursor].iter().map(|&v| v - offset).collect();
-                        p.forward(&Tensor::constant(f.gather_rows(&local)))
+                        p.forward(&Tensor::constant(f.value().gather_rows(&local)))
                     }
-                    _ => Tensor::constant(Matrix::zeros(cursor - start, self.dim)),
+                    TypeInput::Missing(_) => {
+                        Tensor::constant(Matrix::zeros(cursor - start, self.dim))
+                    }
                 };
                 blocks.push(block);
             }
@@ -115,7 +136,13 @@ impl FeatureEncoder {
 
     /// Trainable parameters of every projection.
     pub fn params(&self) -> Vec<Tensor> {
-        self.projections.iter().flatten().flat_map(Linear::params).collect()
+        self.types
+            .iter()
+            .flat_map(|t| match t {
+                TypeInput::Raw(p, _) => p.params(),
+                TypeInput::Missing(_) => Vec::new(),
+            })
+            .collect()
     }
 }
 
@@ -141,7 +168,7 @@ mod tests {
         let (g, feats) = toy();
         let mut rng = StdRng::seed_from_u64(0);
         let enc = FeatureEncoder::new(&g, &feats, 8, &mut rng);
-        let x = enc.encode(&feats);
+        let x = enc.encode();
         assert_eq!(x.shape(), (5, 8));
         let v = x.to_matrix();
         // Actor rows (3, 4) are zero.
@@ -164,7 +191,7 @@ mod tests {
         let (g, feats) = toy();
         let mut rng = StdRng::seed_from_u64(0);
         let enc = FeatureEncoder::new(&g, &feats, 4, &mut rng);
-        enc.encode(&feats).sum().backward();
+        enc.encode().sum().backward();
         assert!(enc.params()[0].grad().is_some());
     }
 
@@ -173,10 +200,10 @@ mod tests {
         let (g, feats) = toy();
         let mut rng = StdRng::seed_from_u64(3);
         let enc = FeatureEncoder::new(&g, &feats, 8, &mut rng);
-        let full = enc.encode(&feats).to_matrix();
+        let full = enc.encode().to_matrix();
         // A subset straddling both types, including a zero (actor) row.
         let nodes = [0u32, 2, 4];
-        let sub = enc.encode_subset(&feats, &nodes).to_matrix();
+        let sub = enc.encode_subset(&nodes).to_matrix();
         assert_eq!(sub.rows(), 3);
         for (i, &v) in nodes.iter().enumerate() {
             let want: Vec<u32> = full.row(v as usize).iter().map(|x| x.to_bits()).collect();
@@ -190,7 +217,7 @@ mod tests {
         let (g, feats) = toy();
         let mut rng = StdRng::seed_from_u64(4);
         let enc = FeatureEncoder::new(&g, &feats, 4, &mut rng);
-        enc.encode_subset(&feats, &[1, 2]).sum().backward();
+        enc.encode_subset(&[1, 2]).sum().backward();
         assert!(enc.params()[0].grad().is_some());
     }
 

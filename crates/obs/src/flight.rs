@@ -5,8 +5,7 @@
 //! on `AUTOAC_OBS`: its whole point is to still hold the last ~moments of
 //! history when a server crashes in a configuration nobody thought to
 //! instrument. Recording costs a handful of atomic stores and no
-//! allocation, so it stays on by default; `AUTOAC_FLIGHT=0` is the
-//! escape hatch (strictly parsed, like every other `AUTOAC_*` flag).
+//! allocation, so it is always on; there is no switch.
 //!
 //! ## Ring semantics
 //!
@@ -36,10 +35,9 @@
 //! [`install_panic_dump`]; `POST /admin/flight` dumps on demand.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::env::parse_bool_env;
 use crate::report::jstr;
 use crate::span::now_ns;
 
@@ -286,44 +284,11 @@ fn ring() -> &'static Ring {
     RING.get_or_init(|| Ring::new(FLIGHT_CAPACITY))
 }
 
-/// Cached `AUTOAC_FLIGHT` verdict: 0 = not read yet, 1 = off, 2 = on.
-/// A plain atomic rather than a `OnceLock` on purpose: the strict parse
-/// below panics on malformed values, and the panic hook installed by
-/// [`install_panic_dump`] runs flight code — re-entering a `OnceLock`
-/// whose initializer is the frame that panicked would deadlock instead
-/// of aborting. Racing first readers may both parse; the result is
-/// identical, so the double store is benign.
-static FLIGHT_ENV: AtomicU8 = AtomicU8::new(0);
-
-/// Whether flight recording is armed. Defaults to **on**; `AUTOAC_FLIGHT`
-/// (strictly parsed) is the escape hatch. Read once per process.
-pub fn flight_enabled() -> bool {
-    match FLIGHT_ENV.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = match std::env::var("AUTOAC_FLIGHT") {
-                Ok(raw) => {
-                    // analyze:allow(panic, malformed AUTOAC_* values abort at startup by design instead of silently defaulting)
-                    parse_bool_env("AUTOAC_FLIGHT", &raw).unwrap_or_else(|e| panic!("autoac-obs: {e}"))
-                }
-                Err(_) => true,
-            };
-            FLIGHT_ENV.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Records one event into the process-global ring (no-op when
-/// `AUTOAC_FLIGHT=0`). Safe to call from any thread, including inside
-/// signal-adjacent shutdown paths — it never locks or allocates beyond
-/// message truncation.
+/// Records one event into the process-global ring. Safe to call from any
+/// thread, including inside signal-adjacent shutdown paths — it never
+/// locks or allocates beyond message truncation.
 #[inline]
 pub fn flight_record(kind: FlightKind, a: u64, b: u64, msg: &str) {
-    if !flight_enabled() {
-        return;
-    }
     ring().record(kind, a, b, msg);
 }
 
@@ -372,16 +337,8 @@ pub fn install_panic_dump(dir: &Path, run: &str) {
     let run = run.to_string();
     let prev = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
-        // The hook must never re-run the AUTOAC_FLIGHT parse: if THIS
-        // panic is the parse rejecting a malformed value, parsing again
-        // here would panic inside the hook and turn a clean startup
-        // abort into a double-panic. Read the cached verdict instead;
-        // "not read yet" (a panic earlier than any flight event) still
-        // dumps — a post-mortem is the whole point of the hook.
-        if FLIGHT_ENV.load(Ordering::Relaxed) != 1 {
-            ring().record(FlightKind::Panic, 0, 0, &info.to_string());
-            let _ = flight_dump_to(&dir, &run);
-        }
+        ring().record(FlightKind::Panic, 0, 0, &info.to_string());
+        let _ = flight_dump_to(&dir, &run);
         prev(info);
     }));
 }

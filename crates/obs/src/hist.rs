@@ -117,9 +117,9 @@ impl Histogram {
     /// Records one value carrying a trace id, keeping the exemplar set
     /// top-by-value: an empty slot is filled, otherwise the smallest
     /// retained exemplar is replaced when `v` beats it. A `trace_id` of 0
-    /// (tracing disabled) records the value without an exemplar, so the
-    /// bucket counts — and therefore digests derived from them — are
-    /// identical with tracing on or off.
+    /// (a recording tied to no request) records the value without an
+    /// exemplar; exemplars never change the bucket counts or the digests
+    /// derived from them.
     pub fn record_exemplar(&mut self, v: f64, trace_id: u64, ts_ns: u64) {
         self.record(v);
         if trace_id == 0 {

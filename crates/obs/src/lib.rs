@@ -36,7 +36,7 @@ mod span;
 
 pub use env::{enabled, parse_bool_env, set_force, with_obs};
 pub use flight::{
-    flight_dump_to, flight_enabled, flight_jsonl, flight_record, flight_snapshot,
+    flight_dump_to, flight_jsonl, flight_record, flight_snapshot,
     install_panic_dump, FlightKind, FlightRecord, Ring, FLIGHT_CAPACITY, MSG_MAX,
 };
 pub use hist::{bucket_bounds, bucket_index, Exemplar, Histogram, MAX_EXEMPLARS, NUM_BUCKETS};

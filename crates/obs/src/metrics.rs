@@ -187,9 +187,9 @@ pub fn series_vec(name: &'static str, step: u64, values: &[f64]) {
 /// `warnings_total` so run summaries surface it.
 pub fn warn(tag: &'static str, msg: &str) {
     eprintln!("autoac-{tag}: {msg}");
-    // The flight recorder is its own always-on system (gated only by
-    // AUTOAC_FLIGHT): a warning must survive into a post-mortem dump even
-    // when the metrics registry is off.
+    // The flight recorder is its own always-on system: a warning must
+    // survive into a post-mortem dump even when the metrics registry is
+    // off.
     crate::flight::flight_record(
         crate::flight::FlightKind::Warn,
         0,

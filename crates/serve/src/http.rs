@@ -17,7 +17,7 @@ use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use crate::trace::{tracing_enabled, TraceIds};
+use crate::trace::TraceIds;
 
 /// Maximum accepted size of the request line + headers.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -38,7 +38,7 @@ pub struct Request {
     pub body: Vec<u8>,
     /// Whether the client asked to keep the connection open.
     pub keep_alive: bool,
-    /// Request trace id minted at accept (0 = tracing disabled).
+    /// Request trace id minted once the request is parsed (never 0).
     pub trace_id: u64,
     /// `autoac_obs::now_ns()` when the request's first byte was seen.
     pub t0_ns: u64,
@@ -63,8 +63,8 @@ pub enum ReadOutcome {
 
 /// Reads one request from `stream`, buffering into `buf` across calls
 /// (left-over bytes belong to the next pipelined request). A completed
-/// request leaves with its trace id minted from `ids` (0 when tracing is
-/// off) and its first-byte / parse timings stamped on the
+/// request leaves with its trace id minted from `ids` and its
+/// first-byte / parse timings stamped on the
 /// `autoac_obs::now_ns` clock.
 pub fn read_request(
     stream: &mut TcpStream,
@@ -81,7 +81,7 @@ pub fn read_request(
                 let t0 = first_byte_ns.unwrap_or_else(autoac_obs::now_ns);
                 r.t0_ns = t0;
                 r.parse_ns = autoac_obs::now_ns().saturating_sub(t0);
-                r.trace_id = if tracing_enabled() { ids.mint() } else { 0 };
+                r.trace_id = ids.mint();
                 return Ok(ReadOutcome::Request(r));
             }
             return Ok(outcome);
@@ -145,7 +145,7 @@ fn try_parse(buf: &mut Vec<u8>) -> io::Result<Option<ReadOutcome>> {
     if parts.next().is_some() || !version.starts_with("HTTP/1.") {
         return Ok(Some(ReadOutcome::Bad(400, "malformed request line")));
     }
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     // HTTP/1.1 defaults to keep-alive; HTTP/1.0 to close.
     let mut keep_alive = version == "HTTP/1.1";
     for line in lines {
@@ -154,16 +154,24 @@ fn try_parse(buf: &mut Vec<u8>) -> io::Result<Option<ReadOutcome>> {
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => return Ok(Some(ReadOutcome::Bad(400, "bad content-length"))),
+            // RFC 9112 §6.3: the value is 1*DIGIT (`usize::from_str` alone
+            // would take a leading `+`), and duplicates that differ leave
+            // the body's end ambiguous.
+            let n = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Ok(Some(ReadOutcome::Bad(400, "bad content-length"))),
+            };
+            if content_length.is_some_and(|c| c != n) {
+                return Ok(Some(ReadOutcome::Bad(400, "conflicting content-length")));
             }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("connection") {
             keep_alive = !value.eq_ignore_ascii_case("close");
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             return Ok(Some(ReadOutcome::Bad(501, "transfer-encoding not supported")));
         }
     }
+    let content_length = content_length.unwrap_or(0);
     if content_length > MAX_BODY_BYTES {
         return Ok(Some(ReadOutcome::Bad(413, "body too large")));
     }
@@ -214,7 +222,7 @@ pub fn write_response(
 }
 
 /// [`write_response`] plus extra response headers (name, value) — the
-/// serving layer uses this to echo `x-autoac-trace` on traced requests.
+/// serving layer uses this to echo `x-autoac-trace` on every request.
 pub fn write_response_with(
     stream: &mut TcpStream,
     status: u16,
@@ -322,11 +330,8 @@ mod tests {
 
     #[test]
     fn minted_trace_ids_and_timings_ride_the_request() {
-        let _serial = crate::test_lock();
-        crate::trace::set_trace_force(Some(true));
         let raw = b"GET /healthz HTTP/1.1\r\n\r\nGET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n";
         let out = roundtrip(raw);
-        crate::trace::set_trace_force(None);
         let [ReadOutcome::Request(a), ReadOutcome::Request(b)] = &out[..] else {
             panic!("{out:?}");
         };
@@ -336,16 +341,131 @@ mod tests {
         assert!(a.t0_ns <= b.t0_ns, "first-byte stamps are monotone");
     }
 
+    /// A valid request's wire bytes and the parse it must yield:
+    /// `(method, path, body, keep_alive)`.
+    type Case = (Vec<u8>, (String, String, Vec<u8>, bool));
+
+    fn case(method: &str, path: &str, version: &str, headers: &str, body: &str) -> Case {
+        let mut raw = format!("{method} {path} {version}\r\n{headers}").into_bytes();
+        if !body.is_empty() || method == "POST" {
+            raw.extend_from_slice(format!("Content-Length: {}\r\n", body.len()).as_bytes());
+        }
+        raw.extend_from_slice(b"\r\n");
+        raw.extend_from_slice(body.as_bytes());
+        let keep_alive = version == "HTTP/1.1" && !headers.to_ascii_lowercase().contains("close");
+        (raw, (method.into(), path.into(), body.as_bytes().to_vec(), keep_alive))
+    }
+
+    /// GET and POST, with and without a body, with and without
+    /// `Connection: close`, over both HTTP/1 versions.
+    fn valid_cases() -> Vec<Case> {
+        vec![
+            case("GET", "/healthz", "HTTP/1.1", "Host: x\r\n", ""),
+            case("GET", "/metrics", "HTTP/1.1", "Connection: close\r\n", ""),
+            case("POST", "/v1/classify", "HTTP/1.1", "", "{\"nodes\":[0,1,2]}"),
+            case("POST", "/v1/attrs", "HTTP/1.1", "connection: Close\r\n", "{\"nodes\":[4]}"),
+            case("POST", "/admin/flight", "HTTP/1.1", "", ""),
+            case("POST", "/v1/classify", "HTTP/1.0", "X-Pad:  a:b \r\n", "{}"),
+            // Identical duplicate lengths frame the body unambiguously.
+            case("POST", "/v1/attrs", "HTTP/1.1", "content-length: 2\r\n", "[]"),
+        ]
+    }
+
+    fn parsed(r: &Request) -> (String, String, Vec<u8>, bool) {
+        (r.method.clone(), r.path.clone(), r.body.clone(), r.keep_alive)
+    }
+
+    /// Parses every complete request now in `buf` into `out`.
+    fn drain_requests(buf: &mut Vec<u8>, out: &mut Vec<(String, String, Vec<u8>, bool)>) {
+        while let Some(outcome) = try_parse(buf).expect("try_parse") {
+            let ReadOutcome::Request(r) = outcome else {
+                panic!("valid bytes parsed as {outcome:?}");
+            };
+            out.push(parsed(&r));
+        }
+    }
+
     #[test]
-    fn disabled_tracing_leaves_trace_id_zero() {
-        let _serial = crate::test_lock();
-        crate::trace::set_trace_force(Some(false));
-        let out = roundtrip(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n");
-        crate::trace::set_trace_force(None);
-        let [ReadOutcome::Request(r)] = &out[..] else {
-            panic!("{out:?}");
+    fn pipelined_mixes_parse_identically_at_every_split() {
+        let cases = valid_cases();
+        // A deterministic walk over mixes of 1–4 requests, each followed by
+        // a strict prefix of one more that must stay buffered.
+        let mut state = 0x5eed_u64;
+        let mut next = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % n
         };
-        assert_eq!(r.trace_id, 0);
+        for _ in 0..48 {
+            let mut wire = Vec::new();
+            let mut want = Vec::new();
+            for _ in 0..1 + next(4) {
+                let (raw, expect) = &cases[next(cases.len())];
+                wire.extend_from_slice(raw);
+                want.push(expect.clone());
+            }
+            let (tail_raw, _) = &cases[next(cases.len())];
+            let tail = &tail_raw[..next(tail_raw.len())];
+            wire.extend_from_slice(tail);
+            for split in 0..=wire.len() {
+                let mut buf = wire[..split].to_vec();
+                let mut got = Vec::new();
+                drain_requests(&mut buf, &mut got);
+                buf.extend_from_slice(&wire[split..]);
+                drain_requests(&mut buf, &mut got);
+                assert_eq!(got, want, "split at {split}");
+                assert_eq!(buf, tail, "split at {split}: leftover must be the partial tail");
+            }
+        }
+    }
+
+    #[test]
+    fn strict_prefixes_need_more_bytes() {
+        for (raw, _) in valid_cases() {
+            for k in 0..raw.len() {
+                let mut buf = raw[..k].to_vec();
+                assert!(
+                    try_parse(&mut buf).expect("try_parse").is_none(),
+                    "prefix {k} of {:?} must ask for more bytes",
+                    String::from_utf8_lossy(&raw)
+                );
+                assert_eq!(buf, &raw[..k], "an incomplete request consumes nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_framing_maps_to_its_status() {
+        let huge_header =
+            format!("GET / HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(MAX_HEADER_BYTES));
+        let huge_body =
+            format!("POST / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", MAX_BODY_BYTES + 1);
+        let cases: [(&str, u16); 12] = [
+            (&huge_header, 431),
+            (&huge_body, 413),
+            ("POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n", 501),
+            ("BROKEN\r\n\r\n", 400),
+            ("GET /  HTTP/1.1\r\n\r\n", 400),
+            ("GET / HTTP/2\r\n\r\n", 400),
+            ("GET / HTTP/1.1\r\nno-colon\r\n\r\n", 400),
+            ("POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n", 400),
+            ("POST / HTTP/1.1\r\nContent-Length: -5\r\n\r\nhello", 400),
+            ("POST / HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n", 400),
+            // A sign is not 1*DIGIT.
+            ("POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", 400),
+            // Differing duplicates leave the body's end ambiguous.
+            ("POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n\r\nhello!", 400),
+        ];
+        for (raw, status) in cases {
+            let mut buf = raw.as_bytes().to_vec();
+            match try_parse(&mut buf).expect("try_parse") {
+                Some(ReadOutcome::Bad(got, _)) => {
+                    assert_eq!(got, status, "{:?}", &raw[..raw.len().min(60)])
+                }
+                other => panic!("{:?} parsed as {other:?}", &raw[..raw.len().min(60)]),
+            }
+        }
     }
 
     #[test]

@@ -54,17 +54,7 @@ pub mod server;
 pub mod trace;
 
 pub use batch::{BatchConfig, ClassifyReply, Job, JobTiming, NodeScore};
-
-/// Serializes unit tests that touch process-global trace state (the
-/// `set_trace_force` switch shared by every test thread).
-#[cfg(test)]
-pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
 pub use client::{Client, Response};
 pub use host::{current_view, ModelHost, SharedView, ViewSlot};
 pub use server::{signals, ServeConfig, Server, ServerHandle, MAX_NODES_PER_REQUEST};
-pub use trace::{
-    set_trace_force, tracing_enabled, Timeline, TraceIds, TraceStore, TRACE_STORE_CAPACITY,
-};
+pub use trace::{Timeline, TraceIds, TraceStore, TRACE_STORE_CAPACITY};

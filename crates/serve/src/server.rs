@@ -43,7 +43,7 @@ use autoac_obs::{
 use crate::batch::{BatchConfig, Job, JobTiming};
 use crate::host::{current_view, SharedView, ViewSlot};
 use crate::http::{read_request, write_response, write_response_with, ReadOutcome, Request};
-use crate::trace::{tracing_enabled, Timeline, TraceIds, TraceStore};
+use crate::trace::{Timeline, TraceIds, TraceStore};
 
 /// Upper bound on node ids per classify/attrs request.
 pub const MAX_NODES_PER_REQUEST: usize = 4096;
@@ -169,11 +169,6 @@ impl Server {
         // `/metrics` is part of the serving contract, so the obs registry
         // must record regardless of AUTOAC_OBS in the environment.
         autoac_obs::set_force(Some(true));
-        // Strict-parse contract: malformed AUTOAC_TRACE / AUTOAC_FLIGHT
-        // abort here, at startup, not lazily on a worker thread
-        // mid-request.
-        let _ = tracing_enabled();
-        let _ = autoac_obs::flight_enabled();
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -490,10 +485,7 @@ fn route(stream: &mut TcpStream, req: &Request, ctx: &Ctx) -> io::Result<()> {
         hist_record_ex("serve_batch_wait_ns", timing.batch_wait_ns as f64, req.trace_id);
         hist_record_ex("serve_compute_ns", timing.compute_ns as f64, req.trace_id);
     }
-    let mut extra: Vec<(&str, String)> = Vec::new();
-    if req.trace_id != 0 {
-        extra.push(("x-autoac-trace", format!("{:016x}", req.trace_id)));
-    }
+    let extra = [("x-autoac-trace", format!("{:016x}", req.trace_id))];
     let write_start = Instant::now();
     let res = write_response_with(stream, status, ctype, &body, keep, &extra);
     let write_ns = write_start.elapsed().as_nanos() as u64;
@@ -505,23 +497,21 @@ fn route(stream: &mut TcpStream, req: &Request, ctx: &Ctx) -> io::Result<()> {
         total_ns,
         &format!("{status} {} {}", req.method, req.path),
     );
-    if req.trace_id != 0 {
-        ctx.traces.push(Timeline {
-            trace_id: req.trace_id,
-            t0_ns: req.t0_ns,
-            method: req.method.clone(),
-            path: req.path.clone(),
-            status,
-            nodes,
-            batch_size: timing.batch_size,
-            parse_ns: req.parse_ns,
-            queue_ns: timing.queue_ns,
-            batch_wait_ns: timing.batch_wait_ns,
-            compute_ns: timing.compute_ns,
-            write_ns,
-            total_ns,
-        });
-    }
+    ctx.traces.push(Timeline {
+        trace_id: req.trace_id,
+        t0_ns: req.t0_ns,
+        method: req.method.clone(),
+        path: req.path.clone(),
+        status,
+        nodes,
+        batch_size: timing.batch_size,
+        parse_ns: req.parse_ns,
+        queue_ns: timing.queue_ns,
+        batch_wait_ns: timing.batch_wait_ns,
+        compute_ns: timing.compute_ns,
+        write_ns,
+        total_ns,
+    });
     res
 }
 

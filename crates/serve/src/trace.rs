@@ -1,8 +1,8 @@
 //! Request-scoped tracing: trace-id minting, per-request stage timelines,
 //! and the bounded in-memory store behind `GET /debug/traces`.
 //!
-//! Every accepted connection byte-stream mints a 64-bit trace id the
-//! moment a request's first byte arrives (see [`TraceIds::mint`]). The id
+//! Tracing is always on: every request gets a 64-bit trace id once it is
+//! parsed, stamped from its first byte (see [`TraceIds::mint`]). The id
 //! stays with the request on its worker, and the model thread's stage
 //! timings ride back to it on the reply; the completed [`Timeline`] —
 //! accept → parse → queue-wait → batch-wait → compute → write — is
@@ -15,57 +15,16 @@
 //!
 //! Ids come from `splitmix64` over a config-supplied seed plus a
 //! process-local counter — pure arithmetic, no OS entropy, no wall
-//! clock — so tracing never perturbs model RNG streams and a run with
-//! `AUTOAC_TRACE=0` produces bitwise-identical response *bodies* (the
-//! header and these side tables are the only difference).
+//! clock — so tracing never perturbs model RNG streams or response
+//! *bodies*; the header and these side tables are all it adds.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Completed request timelines retained for `/debug/traces` (oldest
 /// evicted first).
 pub const TRACE_STORE_CAPACITY: usize = 256;
-
-fn trace_env() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| match std::env::var("AUTOAC_TRACE") {
-        Ok(raw) => {
-            autoac_obs::parse_bool_env("AUTOAC_TRACE", &raw)
-                // analyze:allow(panic, malformed AUTOAC_* values abort at startup by design instead of silently defaulting)
-                .unwrap_or_else(|e| panic!("autoac-serve: {e}"))
-        }
-        Err(_) => true,
-    })
-}
-
-/// Process-global override: 0 = unset (defer to env), 1 = forced off,
-/// 2 = forced on. Mirrors `autoac_obs::set_force` so digest-identity
-/// tests can flip tracing without racing on the environment.
-static TRACE_FORCE: AtomicU8 = AtomicU8::new(0);
-
-/// Forces tracing on (`Some(true)`), off (`Some(false)`), or back to the
-/// `AUTOAC_TRACE` environment value (`None`) for the whole process.
-pub fn set_trace_force(on: Option<bool>) {
-    let v = match on {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    };
-    TRACE_FORCE.store(v, Ordering::Relaxed);
-}
-
-/// Whether request tracing is armed. Defaults to **on**: a trace id is an
-/// 8-byte arithmetic mint and a header echo, cheap enough to always have
-/// when a production request needs explaining.
-#[inline]
-pub fn tracing_enabled() -> bool {
-    match TRACE_FORCE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => trace_env(),
-    }
-}
 
 /// `splitmix64` finalizer: the standard 64-bit avalanche used to spread a
 /// sequential counter into well-distributed ids.
@@ -77,8 +36,9 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Trace-id mint: a seeded counter pushed through [`splitmix64`].
-/// `trace_id == 0` is reserved to mean *untraced* throughout the stack
-/// (no header, no exemplar), so the mint never returns 0.
+/// `trace_id == 0` is reserved to mean *no request* throughout the stack
+/// (flight events and exemplars not tied to one), so the mint never
+/// returns 0.
 #[derive(Debug)]
 pub struct TraceIds {
     seed: u64,
@@ -91,9 +51,7 @@ impl TraceIds {
         TraceIds { seed, counter: AtomicU64::new(0) }
     }
 
-    /// Next trace id (never 0). When tracing is disabled this still
-    /// advances the counter — ids are positional, so toggling tracing
-    /// mid-run does not re-issue already-spent ids.
+    /// Next trace id (never 0).
     pub fn mint(&self) -> u64 {
         let n = self.counter.fetch_add(1, Ordering::Relaxed);
         let id = splitmix64(self.seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -109,7 +67,7 @@ impl TraceIds {
 /// process-wide `autoac_obs::now_ns` clock.
 #[derive(Clone, Debug, Default)]
 pub struct Timeline {
-    /// The request's trace id (never 0 for stored timelines).
+    /// The request's trace id (never 0).
     pub trace_id: u64,
     /// `now_ns()` when the request's first byte was accepted.
     pub t0_ns: u64,
@@ -268,15 +226,5 @@ mod tests {
         assert_eq!(v.get("trace_id").and_then(|x| x.as_str()), Some("00000000deadbeef"));
         assert_eq!(v.get("total_ns").and_then(|x| x.as_f64()), Some(15.0));
         assert_eq!(v.get("path").and_then(|x| x.as_str()), Some("/v1/\"classify\""));
-    }
-
-    #[test]
-    fn force_override_wins_over_default() {
-        let _serial = crate::test_lock();
-        set_trace_force(Some(false));
-        assert!(!tracing_enabled());
-        set_trace_force(Some(true));
-        assert!(tracing_enabled());
-        set_trace_force(None);
     }
 }

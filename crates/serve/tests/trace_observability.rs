@@ -1,20 +1,11 @@
-//! End-to-end observability tests: tracing on/off bitwise body identity,
-//! the `x-autoac-trace` echo, `/debug/traces` timelines with stage
-//! timings, `/slo` burn-rate status, and `POST /admin/flight` dumps.
-
-use std::sync::{Mutex, MutexGuard};
+//! End-to-end observability tests: the `x-autoac-trace` echo,
+//! `/debug/traces` timelines with stage timings, `/slo` burn-rate status,
+//! and `POST /admin/flight` dumps.
 
 use autoac_ckpt::ServeState;
 use autoac_core::{train_serve_state, ServeTrainSpec, TrainConfig};
 use autoac_data::json::{self, Value};
-use autoac_serve::{set_trace_force, BatchConfig, Client, ServeConfig, Server};
-
-/// `set_trace_force` is process-global; tests in this binary run on
-/// parallel threads, so every test serializes on this.
-fn lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(|p| p.into_inner())
-}
+use autoac_serve::{BatchConfig, Client, ServeConfig, Server};
 
 fn quick_state(seed: u64) -> ServeState {
     let spec = ServeTrainSpec {
@@ -42,46 +33,7 @@ fn server_in(dir: &std::path::Path, run: &str, state: ServeState) -> Server {
 }
 
 #[test]
-fn tracing_off_bodies_are_bitwise_identical_to_tracing_on() {
-    let _serial = lock();
-    let state = quick_state(61);
-    let dir = std::env::temp_dir().join(format!("autoac_trace_ab_{}", std::process::id()));
-    let sets: Vec<Vec<usize>> = (0..6).map(|i| vec![i, i + 2]).collect();
-
-    set_trace_force(Some(true));
-    let mut traced = Vec::new();
-    {
-        let srv = server_in(&dir, "on", state.clone());
-        let mut c = Client::connect(srv.addr()).expect("connect");
-        for s in &sets {
-            let r = c.post("/v1/classify", &nodes_body(s)).expect("post");
-            assert_eq!(r.status, 200);
-            assert!(r.trace_id().is_some(), "traced request echoes x-autoac-trace");
-            traced.push(r.text());
-        }
-        srv.stop();
-    }
-
-    set_trace_force(Some(false));
-    {
-        let srv = server_in(&dir, "off", state);
-        let mut c = Client::connect(srv.addr()).expect("connect");
-        for (s, want) in sets.iter().zip(&traced) {
-            let r = c.post("/v1/classify", &nodes_body(s)).expect("post");
-            assert_eq!(r.status, 200);
-            assert!(r.trace_id().is_none(), "untraced request carries no trace header");
-            assert_eq!(&r.text(), want, "bodies must be bitwise identical tracing on vs off");
-        }
-        srv.stop();
-    }
-    set_trace_force(None);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn debug_traces_slo_and_flight_dump_work_end_to_end() {
-    let _serial = lock();
-    set_trace_force(Some(true));
     let dir = std::env::temp_dir().join(format!("autoac_trace_e2e_{}", std::process::id()));
     let srv = server_in(&dir, "e2e", quick_state(62));
     let mut c = Client::connect(srv.addr()).expect("connect");
@@ -160,7 +112,6 @@ fn debug_traces_slo_and_flight_dump_work_end_to_end() {
     assert!(kinds.iter().any(|k| k == "flush"), "batch flush decisions recorded: {kinds:?}");
 
     srv.stop();
-    set_trace_force(None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -171,7 +122,6 @@ fn debug_traces_slo_and_flight_dump_work_end_to_end() {
 /// would not).
 #[test]
 fn failed_flight_dump_answers_500_and_serving_goes_on() {
-    let _serial = lock();
     let base = std::env::temp_dir().join(format!("autoac_flight_fault_{}", std::process::id()));
     std::fs::create_dir_all(&base).expect("temp dir");
     let file = base.join("regular_file");

@@ -11,13 +11,6 @@ pub fn xavier_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     random_uniform(rows, cols, -a, a, rng)
 }
 
-/// Kaiming/He uniform initialization for ReLU-family activations:
-/// `U(−a, a)` with `a = sqrt(6 / fan_in)`.
-pub fn kaiming_uniform(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
-    let a = (6.0 / rows as f32).sqrt();
-    random_uniform(rows, cols, -a, a, rng)
-}
-
 /// Uniform initialization on an explicit interval.
 pub fn random_uniform(rows: usize, cols: usize, lo: f32, hi: f32, rng: &mut impl Rng) -> Matrix {
     let mut m = Matrix::zeros(rows, cols);

@@ -213,11 +213,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterator over row slices.
-    pub fn iter_rows(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     // ---------------------------------------------------------------------
     // Elementwise arithmetic
     //
@@ -564,16 +559,6 @@ impl Matrix {
             for (o, &s) in out_row.iter_mut().zip(src) {
                 *o += s;
             }
-        }
-        out
-    }
-
-    /// Copies selected rows into a new matrix (clone of `gather_rows` for
-    /// `usize` indices, used by dataset splits).
-    pub fn select_rows(&self, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::scratch(idx.len(), self.cols);
-        for (i, &src) in idx.iter().enumerate() {
-            out.row_mut(i).copy_from_slice(self.row(src));
         }
         out
     }

@@ -79,11 +79,6 @@ impl Adam {
         self.config.lr
     }
 
-    /// Overrides the learning rate (for schedules / sensitivity sweeps).
-    pub fn set_lr(&mut self, lr: f32) {
-        self.config.lr = lr;
-    }
-
     /// Clears the gradients of every managed parameter.
     pub fn zero_grad(&self) {
         for p in &self.params {

@@ -185,12 +185,6 @@ pub fn thread_stats() -> PoolStats {
     THREAD_STATS.with(Cell::get)
 }
 
-/// Reads the global counters. Alias for [`stats_snapshot`], kept for
-/// existing callers.
-pub fn stats() -> PoolStats {
-    stats_snapshot()
-}
-
 /// Zeroes the global counters, discarding their values. Prefer
 /// [`stats_reset`] when the cleared values matter.
 pub fn reset_stats() {
@@ -853,9 +847,9 @@ mod tests {
                 r1.misses,
                 r2.misses
             );
-            // snapshot/stats are non-destructive aliases of each other.
+            // A snapshot is non-destructive: the next one reads no less.
             let s1 = stats_snapshot();
-            let s2 = stats();
+            let s2 = stats_snapshot();
             assert!(s2.hits >= s1.hits && s2.misses >= s1.misses);
         });
     }

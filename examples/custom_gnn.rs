@@ -62,12 +62,11 @@ struct CustomPipe {
     ops: CompletionOps,
     model: SkipGcn,
     assignment: Vec<CompletionOp>,
-    features: Vec<Option<Matrix>>,
 }
 
 impl ForwardPipe for CustomPipe {
     fn forward(&self, training: bool, rng: &mut StdRng) -> Forward {
-        let x0 = self.encoder.encode(&self.features);
+        let x0 = self.encoder.encode();
         let x = autoac::completion::complete_assigned(&self.ops, &x0, &self.assignment);
         self.model.forward(&x, training, rng)
     }
@@ -112,7 +111,6 @@ fn main() {
         ),
         model: SkipGcn::new(&data.graph, in_dim, 32, data.num_classes, &mut rng),
         assignment,
-        features: data.features.clone(),
     };
 
     let out = train_node_classification(

@@ -41,14 +41,11 @@
 #    off — whose response digests must be identical (micro-batching is
 #    bitwise-invisible); /metrics must parse as Prometheus exposition
 #    text and count exactly one served forward (one per loaded
-#    checkpoint, however many requests), and POST /admin/shutdown must
-#    take the daemon down gracefully.
+#    checkpoint, however many requests), POST /admin/shutdown must
+#    take the daemon down gracefully, and the flight-recorder dump each
+#    daemon leaves on shutdown must parse as strict JSONL
+#    (serve_bench --validate-flight).
 #    An in-process serve_bench smoke repeats the A/B inside one process.
-#  - the tracing pass: the same driver load against a daemon with
-#    AUTOAC_TRACE=0 must print a digest identical to the traced run
-#    (request-scoped tracing is bitwise-invisible), and the flight-
-#    recorder dump every daemon leaves on shutdown must parse as strict
-#    JSONL (serve_bench --validate-flight).
 #  - the benchmark pass: the end-to-end benchmark package (benchmark/,
 #    not a workspace member) is built into .bench_build, its unit tests
 #    run, and its --smoke run must report every workload correct with no
@@ -178,7 +175,7 @@ serve_drive() { # $1: batching flag ("" or --no-batching), $2: digest file
   rm -f "$WORK/serve.port"
   # The flight dump is routed into the work dir (default would be
   # results/) and named after the digest file so each launch leaves its
-  # own post-mortem for the tracing pass to validate.
+  # own post-mortem to validate.
   # shellcheck disable=SC2086
   "$SERVE" --checkpoint "$WORK/serve.ckpt" --addr 127.0.0.1:0 --workers 4 \
     --port-file "$WORK/serve.port" --flight-dir "$WORK/flight" \
@@ -204,25 +201,16 @@ serve_drive "--no-batching" "$WORK/serve_digest_single"
 diff "$WORK/serve_digest_batched" "$WORK/serve_digest_single" \
   || { echo "verify.sh: FAIL — batched responses diverged from single-request responses"; exit 1; }
 echo "   batched and unbatched serving digests are byte-identical; graceful shutdown OK"
+# Both daemons shut down gracefully and left a flight-recorder post-mortem
+# behind; each must parse as strict JSONL with records in it.
+for run in serve_digest_batched serve_digest_single; do
+  "$SERVE_BENCH" --validate-flight "$WORK/flight/FLIGHT_$run.jsonl" \
+    || { echo "verify.sh: FAIL — flight dump for $run is missing or malformed"; exit 1; }
+done
 # In-process A/B smoke: same assertion plus throughput/latency accounting
 # (the committed results/BENCH_serve.json comes from a full run).
 "$SERVE_BENCH" --smoke --out "$WORK/bench_serve_smoke.json" \
   || { echo "verify.sh: FAIL — serve_bench in-process A/B failed"; exit 1; }
-
-echo "== tracing pass (AUTOAC_TRACE digest identity + flight dump validation) =="
-# Request-scoped tracing must be bitwise-invisible to responses: the same
-# driver load against a daemon with tracing disabled must print the same
-# digest as the traced batched run above.
-AUTOAC_TRACE=0 serve_drive "" "$WORK/serve_digest_untraced"
-diff "$WORK/serve_digest_batched" "$WORK/serve_digest_untraced" \
-  || { echo "verify.sh: FAIL — AUTOAC_TRACE=0 changed response bytes"; exit 1; }
-echo "   AUTOAC_TRACE=0 serving digest is byte-identical to the traced run"
-# Every daemon above shut down gracefully and left a flight-recorder
-# post-mortem behind; each must parse as strict JSONL with records in it.
-for run in serve_digest_batched serve_digest_single serve_digest_untraced; do
-  "$SERVE_BENCH" --validate-flight "$WORK/flight/FLIGHT_$run.jsonl" \
-    || { echo "verify.sh: FAIL — flight dump for $run is missing or malformed"; exit 1; }
-done
 
 echo "== benchmark pass (benchmark/ unit tests + --smoke) =="
 # Its own target dir (gitignored): benchmark/ is a separate package.
@@ -237,4 +225,4 @@ grep -q '"correct":true' <<< "$BENCH_LAST" && grep -Eq '"failed":0[,}]' <<< "$BE
        echo "$BENCH_LAST"; exit 1; }
 echo "   benchmark --smoke: correct, 0 failed"
 
-echo "verify.sh: all suites passed with pool off+serial and pool on+parallel; kill-and-resume, bench_alloc, sharding, obs smoke, kernels, serving, tracing, and the benchmark smoke OK"
+echo "verify.sh: all suites passed with pool off+serial and pool on+parallel; kill-and-resume, bench_alloc, sharding, obs smoke, kernels, serving with flight dumps, and the benchmark smoke OK"
