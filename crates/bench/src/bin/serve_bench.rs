@@ -208,6 +208,19 @@ fn validate_exposition(text: &str) -> Result<usize, String> {
     Ok(series)
 }
 
+const USAGE: &str = "\
+usage: serve_bench [--smoke] [--out FILE]                  # in-process A/B
+       serve_bench --connect HOST:PORT [--clients N] [--requests N]
+                   [--shutdown]                            # drive external server
+       serve_bench --validate-flight PATH                  # check a flight dump";
+
+/// A bad flag or value: the usage on stderr, exit 2 (no backtrace).
+fn usage(flag: &str) -> ! {
+    // lint:allow(eprintln) — CLI-facing usage error, not library telemetry
+    eprintln!("unexpected argument {flag}\n{USAGE}");
+    std::process::exit(2)
+}
+
 fn main() {
     let mut out_path: Option<PathBuf> = None;
     let mut connect: Option<String> = None;
@@ -217,16 +230,20 @@ fn main() {
     let mut requests = 200usize;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
-        let mut value = || argv.next().expect("flag takes a value");
+        let mut value = || argv.next().unwrap_or_else(|| usage(&flag));
         match flag.as_str() {
             "--out" => out_path = Some(PathBuf::from(value())),
             "--connect" => connect = Some(value()),
             "--validate-flight" => return validate_flight(&PathBuf::from(value())),
-            "--clients" => clients = value().parse().expect("--clients N"),
-            "--requests" => requests = value().parse().expect("--requests N"),
+            "--clients" => clients = value().parse().unwrap_or_else(|_| usage(&flag)),
+            "--requests" => requests = value().parse().unwrap_or_else(|_| usage(&flag)),
             "--smoke" => smoke = true,
             "--shutdown" => shutdown = true,
-            other => panic!("unknown flag {other:?}"),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
+            _ => usage(&flag),
         }
     }
     if smoke {

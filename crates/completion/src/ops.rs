@@ -6,7 +6,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use autoac_graph::cache::NormOp;
-use autoac_graph::{ppr, HeteroGraph, OpCache};
+use autoac_graph::{norm, ppr, HeteroGraph, OpCache};
 use autoac_tensor::{spmm, Csr, Tensor};
 use rand::rngs::StdRng;
 
@@ -79,9 +79,24 @@ pub struct CompletionContext {
 }
 
 impl CompletionContext {
-    /// Builds all operators for a graph and attribute mask.
+    /// Builds all operators for a graph and attribute mask, each exactly
+    /// once: the norm operator, its `V⁻` rows, their transpose. This is the
+    /// build of a graph that is used once (a sampled batch or a shard); the
+    /// result equals [`CompletionContext::build_cached`]'s bit for bit.
     pub fn build(graph: &HeteroGraph, has_attr: &[bool]) -> Self {
-        Self::build_cached(graph, has_attr, &OpCache::new(graph))
+        let _obs = autoac_obs::span("completion_context");
+        let missing = missing_nodes(has_attr);
+        let mean_agg = Rc::new(norm::mean_attr_agg(graph, has_attr).restrict_rows(&missing));
+        let gcn_agg = Rc::new(norm::gcn_attr_agg(graph, has_attr).restrict_rows(&missing));
+        Self {
+            mean_agg_t: Rc::new(mean_agg.transpose()),
+            mean_agg,
+            gcn_agg_t: Rc::new(gcn_agg.transpose()),
+            gcn_agg,
+            sym_adj: Rc::new(norm::sym_norm_adj(graph)),
+            missing,
+            num_nodes: graph.num_nodes(),
+        }
     }
 
     /// Like [`CompletionContext::build`], but fetches every operator through
@@ -89,11 +104,7 @@ impl CompletionContext {
     /// graph (search stage, retraining stage, multiple seeds) reuses the
     /// CSR matrices instead of rebuilding them.
     pub fn build_cached(graph: &HeteroGraph, has_attr: &[bool], cache: &OpCache) -> Self {
-        let missing: Vec<u32> = has_attr
-            .iter()
-            .enumerate()
-            .filter_map(|(v, &h)| (!h).then_some(v as u32))
-            .collect();
+        let missing = missing_nodes(has_attr);
         // Completion only ever reads V⁻ rows of the local aggregators;
         // restricting them up-front makes each spmm O(edges incident to V⁻).
         let mask = Some(has_attr);
@@ -113,6 +124,11 @@ impl CompletionContext {
     pub fn num_missing(&self) -> usize {
         self.missing.len()
     }
+}
+
+/// Ids of the nodes without attributes (`V⁻`), ascending.
+fn missing_nodes(has_attr: &[bool]) -> Vec<u32> {
+    has_attr.iter().enumerate().filter_map(|(v, &h)| (!h).then_some(v as u32)).collect()
 }
 
 /// Trainable parameters of the four ops plus the kernels that evaluate each

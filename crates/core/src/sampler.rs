@@ -77,6 +77,9 @@ pub struct NeighborSampler {
     // over all nodes reproduces the parent's structural fingerprint exactly.
     inc_edges: Vec<(u32, u32, u32)>,
     num_nodes: usize,
+    /// Structural fingerprint of the indexed graph: `sample` reads stored
+    /// edges by position, so it refuses any other graph.
+    graph_fp: u64,
 }
 
 impl NeighborSampler {
@@ -103,7 +106,7 @@ impl NeighborSampler {
             pos_in_type[et] += 1;
             cursor[s as usize] += 1;
         }
-        Self { adj, inc_indptr, inc_edges, num_nodes: n }
+        Self { adj, inc_indptr, inc_edges, num_nodes: n, graph_fp: g.structural_fingerprint() }
     }
 
     /// Number of nodes in the parent graph.
@@ -127,6 +130,11 @@ impl NeighborSampler {
         rng: &mut StdRng,
     ) -> SampledBatch {
         assert!(!core.is_empty(), "sampler: empty core set");
+        assert_eq!(
+            g.structural_fingerprint(),
+            self.graph_fp,
+            "sampler: graph does not match the one this sampler indexed"
+        );
         let _obs = autoac_obs::span("sample_batch");
         let mut selected: Vec<u32> = core.to_vec();
         selected.sort_unstable();
@@ -135,7 +143,11 @@ impl NeighborSampler {
             "sampler: core set has duplicates"
         );
         let core_sorted = selected.clone();
-        let mut seen: std::collections::HashSet<u32> = selected.iter().copied().collect();
+        // One flag per parent node; `!replace(.., true)` is "newly seen".
+        let mut seen = vec![false; self.num_nodes];
+        for &v in &selected {
+            seen[v as usize] = true;
+        }
         let mut frontier = selected.clone();
         let mut scratch: Vec<u32> = Vec::new();
         for _ in 0..hops {
@@ -148,7 +160,7 @@ impl NeighborSampler {
                 let take = fanout.unwrap_or(neigh.len()).min(neigh.len());
                 if take == neigh.len() {
                     for &u in neigh {
-                        if seen.insert(u) {
+                        if !std::mem::replace(&mut seen[u as usize], true) {
                             next.push(u);
                         }
                     }
@@ -161,7 +173,7 @@ impl NeighborSampler {
                         let j = rng.gen_range(i..scratch.len());
                         scratch.swap(i, j);
                         let u = scratch[i];
-                        if seen.insert(u) {
+                        if !std::mem::replace(&mut seen[u as usize], true) {
                             next.push(u);
                         }
                     }
@@ -184,7 +196,8 @@ impl NeighborSampler {
     }
 
     /// Induced subgraph over sorted-unique `nodes`, via the source-incidence
-    /// index (cost `O(|nodes| log |nodes| + Σ out-deg)`).
+    /// index: `O(Σ out-deg)` plus one pass over a node array and an edge
+    /// bitmap of the parent (`N` words and `E / 64` words), no sort.
     fn induce(&self, g: &HeteroGraph, nodes: &[u32]) -> HeteroGraph {
         let mut b = HeteroGraph::builder();
         let mut cursor = 0usize;
@@ -201,24 +214,37 @@ impl NeighborSampler {
             let et = g.edge_type(e);
             b.add_edge_type(et.name.clone(), et.src, et.dst);
         }
-        // Collect per edge type, then sort by stored position: induced
-        // edges keep the parent's storage order, so inducing over all nodes
-        // reproduces the parent graph bit-for-bit (fingerprint included).
-        let sub_of = |v: u32| nodes.binary_search(&v).ok();
-        let mut per_type: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); g.num_edge_types()];
+        // Batch-local id of every selected parent node.
+        let mut local = vec![u32::MAX; self.num_nodes];
         for (i, &v) in nodes.iter().enumerate() {
+            local[v as usize] = i as u32;
+        }
+        // Mark each kept edge at its stored position within its type, then
+        // scan the marks in order: induced edges keep the parent's storage
+        // order, so inducing over all nodes reproduces the parent graph
+        // bit-for-bit (fingerprint included). The mark is an unconditional
+        // OR of the keep bit: on hub-heavy batches about half the entries
+        // are kept, and a branch on it mispredicts.
+        let mut kept: Vec<Vec<u64>> = (0..g.num_edge_types())
+            .map(|e| vec![0u64; g.edges_of_type(e).len().div_ceil(64)])
+            .collect();
+        for &v in nodes {
             let lo = self.inc_indptr[v as usize];
             let hi = self.inc_indptr[v as usize + 1];
             for &(et, d, pos) in &self.inc_edges[lo..hi] {
-                if let Some(j) = sub_of(d) {
-                    per_type[et as usize].push((pos, i as u32, j as u32));
-                }
+                let keep = u64::from(local[d as usize] != u32::MAX);
+                kept[et as usize][pos as usize / 64] |= keep << (pos % 64);
             }
         }
-        for (et, mut edges) in per_type.into_iter().enumerate() {
-            edges.sort_unstable_by_key(|&(pos, _, _)| pos);
-            for (_, i, j) in edges {
-                b.add_edge(et as EdgeTypeId, i, j);
+        for (et, words) in kept.iter().enumerate() {
+            let stored = g.edges_of_type(et);
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let (s, d) = stored[w * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    b.add_edge(et as EdgeTypeId, local[s as usize], local[d as usize]);
+                }
             }
         }
         b.build()

@@ -10,7 +10,8 @@
 //!
 //! A cache is bound to exactly one graph at construction via
 //! [`HeteroGraph::structural_fingerprint`]; every lookup re-checks the
-//! fingerprint and panics on mismatch, so a cache can never silently serve
+//! fingerprint (which the graph computes once and keeps, so the check is
+//! O(1)) and panics on mismatch, so a cache can never silently serve
 //! operators for the wrong graph. There is no invalidation — graphs are
 //! immutable, so entries stay valid for the cache's lifetime. Keys store the
 //! full attribute mask / row set (not hashes of them), so lookups are exact.

@@ -6,6 +6,7 @@
 //! pair.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Index of a node type.
 pub type NodeTypeId = usize;
@@ -32,6 +33,9 @@ pub struct HeteroGraph {
     edge_types: Vec<EdgeType>,
     /// Per edge type, `(src, dst)` pairs in global ids.
     edges: Vec<Vec<(u32, u32)>>,
+    /// [`HeteroGraph::structural_fingerprint`], computed on first use. Every
+    /// constructor that sets `edges` starts it empty.
+    fingerprint: OnceLock<u64>,
 }
 
 /// Incremental builder for [`HeteroGraph`].
@@ -90,6 +94,7 @@ impl HeteroGraphBuilder {
             type_offsets,
             edge_types: self.edge_types,
             edges: self.edges,
+            fingerprint: OnceLock::new(),
         };
         for (et, list) in g.edge_types.iter().zip(&g.edges) {
             let sr = g.nodes_of_type(et.src);
@@ -179,16 +184,21 @@ impl HeteroGraph {
     /// endpoints, and every stored edge (names excluded — they don't affect
     /// any operator). [`crate::cache::OpCache`] uses this to refuse serving
     /// operators computed for a different graph.
+    ///
+    /// The hash walks every edge once per graph: the first call computes it
+    /// and later calls (and clones) return the kept value.
     pub fn structural_fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.type_offsets.hash(&mut h);
-        for et in &self.edge_types {
-            et.src.hash(&mut h);
-            et.dst.hash(&mut h);
-        }
-        self.edges.hash(&mut h);
-        h.finish()
+        *self.fingerprint.get_or_init(|| {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            self.type_offsets.hash(&mut h);
+            for et in &self.edge_types {
+                et.src.hash(&mut h);
+                et.dst.hash(&mut h);
+            }
+            self.edges.hash(&mut h);
+            h.finish()
+        })
     }
 
     /// Iterates over `(edge_type, src, dst)` for all edges.
@@ -204,13 +214,19 @@ impl HeteroGraph {
     /// the `i`-th edge of `etype` survives.
     pub fn without_edges(&self, etype: EdgeTypeId, keep: &[bool]) -> HeteroGraph {
         assert_eq!(keep.len(), self.edges[etype].len(), "without_edges: mask length mismatch");
-        let mut g = self.clone();
-        g.edges[etype] = self.edges[etype]
+        let mut edges = self.edges.clone();
+        edges[etype] = self.edges[etype]
             .iter()
             .zip(keep)
             .filter_map(|(&e, &k)| k.then_some(e))
             .collect();
-        g
+        HeteroGraph {
+            node_type_names: self.node_type_names.clone(),
+            type_offsets: self.type_offsets.clone(),
+            edge_types: self.edge_types.clone(),
+            edges,
+            fingerprint: OnceLock::new(),
+        }
     }
 
     /// Undirected degree of every node (each stored edge contributes to both
@@ -230,6 +246,11 @@ mod tests {
     use super::*;
 
     pub(crate) fn toy() -> HeteroGraph {
+        toy_with(&[(0, 3), (1, 3), (1, 4), (2, 4)])
+    }
+
+    /// The toy graph with the given movie-actor edges.
+    fn toy_with(movie_actor: &[(u32, u32)]) -> HeteroGraph {
         // 3 movies (0-2), 2 actors (3-4), 1 director (5).
         let mut b = HeteroGraph::builder();
         let m = b.add_node_type("movie", 3);
@@ -237,10 +258,9 @@ mod tests {
         let d = b.add_node_type("director", 1);
         let ma = b.add_edge_type("movie-actor", m, a);
         let md = b.add_edge_type("movie-director", m, d);
-        b.add_edge(ma, 0, 3);
-        b.add_edge(ma, 1, 3);
-        b.add_edge(ma, 1, 4);
-        b.add_edge(ma, 2, 4);
+        for &(s, t) in movie_actor {
+            b.add_edge(ma, s, t);
+        }
         b.add_edge(md, 0, 5);
         b.add_edge(md, 2, 5);
         b.build()
@@ -278,6 +298,38 @@ mod tests {
         assert_eq!(g2.edges_of_type(0), &[(0, 3), (2, 4)]);
         assert_eq!(g2.edges_of_type(1).len(), 2);
         assert_eq!(g.edges_of_type(0).len(), 4, "original untouched");
+    }
+
+    #[test]
+    fn a_clone_reports_the_freshly_computed_fingerprint() {
+        let g = toy();
+        let kept = g.structural_fingerprint();
+        assert_eq!(g.structural_fingerprint(), kept, "the kept value is stable");
+        let fresh = toy().structural_fingerprint();
+        assert_eq!(kept, fresh);
+        assert_eq!(g.clone().structural_fingerprint(), fresh);
+    }
+
+    #[test]
+    fn without_edges_computes_its_own_fingerprint() {
+        let g = toy();
+        // Computed (and kept) on the parent before masking: the masked copy
+        // must not inherit it.
+        let parent_fp = g.structural_fingerprint();
+        let masked = g.without_edges(0, &[true, false, false, true]);
+        let scratch = toy_with(&[(0, 3), (2, 4)]);
+        assert_eq!(masked.structural_fingerprint(), scratch.structural_fingerprint());
+        assert_ne!(masked.structural_fingerprint(), parent_fp);
+        assert_eq!(g.structural_fingerprint(), parent_fp, "parent untouched");
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match")]
+    fn an_opcache_of_the_parent_refuses_the_masked_graph() {
+        let g = toy();
+        let cache = crate::cache::OpCache::new(&g);
+        let masked = g.without_edges(0, &[true, false, false, true]);
+        let _ = cache.sym_norm_adj(&masked);
     }
 
     #[test]

@@ -73,14 +73,9 @@ pub fn mean_attr_agg(g: &HeteroGraph, has_attr: &[bool]) -> Csr {
         }
     }
     let triplets = g.all_edges().flat_map(|(_, s, d)| {
-        let mut out = Vec::with_capacity(2);
-        if has_attr[d as usize] {
-            out.push((s, d, 1.0 / attr_deg[s as usize] as f32));
-        }
-        if has_attr[s as usize] {
-            out.push((d, s, 1.0 / attr_deg[d as usize] as f32));
-        }
-        out
+        let fwd = has_attr[d as usize].then(|| (s, d, 1.0 / attr_deg[s as usize] as f32));
+        let back = has_attr[s as usize].then(|| (d, s, 1.0 / attr_deg[d as usize] as f32));
+        fwd.into_iter().chain(back)
     });
     Csr::from_coo(n, n, triplets)
 }
@@ -97,14 +92,9 @@ pub fn gcn_attr_agg(g: &HeteroGraph, has_attr: &[bool]) -> Csr {
         deg.iter().map(|&d| if d > 0 { 1.0 / (d as f32).sqrt() } else { 0.0 }).collect();
     let triplets = g.all_edges().flat_map(|(_, s, d)| {
         let w = inv_sqrt[s as usize] * inv_sqrt[d as usize];
-        let mut out = Vec::with_capacity(2);
-        if has_attr[d as usize] {
-            out.push((s, d, w));
-        }
-        if has_attr[s as usize] {
-            out.push((d, s, w));
-        }
-        out
+        let fwd = has_attr[d as usize].then_some((s, d, w));
+        let back = has_attr[s as usize].then_some((d, s, w));
+        fwd.into_iter().chain(back)
     });
     Csr::from_coo(n, n, triplets)
 }

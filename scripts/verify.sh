@@ -45,7 +45,8 @@
 #    take the daemon down gracefully, and the flight-recorder dump each
 #    daemon leaves on shutdown must parse as strict JSONL
 #    (serve_bench --validate-flight).
-#    An in-process serve_bench smoke repeats the A/B inside one process.
+#    An in-process serve_bench smoke repeats the A/B inside one process,
+#    and serve_bench --help must exit 0 (an unknown flag exits 2).
 #  - the benchmark pass: the end-to-end benchmark package (benchmark/,
 #    not a workspace member) is built into .bench_build, its unit tests
 #    run, and its --smoke run must report every workload correct with no
@@ -168,6 +169,11 @@ echo "== kernel pass (bench_kernels smoke: blocked vs reference parity) =="
 echo "== serving pass (autoac_serve + serve_bench: batching A/B, metrics, graceful shutdown) =="
 SERVE="./target/release/autoac_serve"
 SERVE_BENCH="./target/release/serve_bench"
+# --help prints the usage and exits 0; an unknown flag prints it and exits 2.
+"$SERVE_BENCH" --help > /dev/null \
+  || { echo "verify.sh: FAIL — serve_bench --help did not exit 0"; exit 1; }
+rc=0; "$SERVE_BENCH" --no-such-flag 2> /dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "verify.sh: FAIL — serve_bench exited $rc on an unknown flag, not 2"; exit 1; }
 # One small checkpoint shared by both daemon launches.
 "$SERVE" --train-out "$WORK/serve.ckpt" --epochs 6 --seed 7
 
