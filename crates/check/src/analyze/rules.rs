@@ -74,13 +74,15 @@ pub struct AllowedFinding {
     pub rule: &'static str,
     /// `file:line` of the suppressed site.
     pub location: String,
+    /// Innermost fn around the site (see [`SourceFile::enclosing_fn`]).
+    pub func: String,
     /// The marker's justification text.
     pub reason: String,
 }
 
-/// Workspace-level counters, exported into the baseline so coverage
-/// regressions (an entry point dropping out, the graph shrinking) show up
-/// as a diff even when findings stay at zero.
+/// Workspace-level counters. `--analyze` prints them, but they stay out
+/// of the baseline document: they move with every edit, not with a
+/// finding.
 #[derive(Debug, Clone, Default)]
 pub struct Stats {
     /// Files loaded.
@@ -106,7 +108,7 @@ pub struct AnalysisOutput {
     pub report: Report,
     /// Accepted suppressions with their reasons.
     pub allowed: Vec<AllowedFinding>,
-    /// Entry points found, as `name @ file:line`.
+    /// Entry points found, as `name @ file`.
     pub entry_points: Vec<String>,
     /// Ambiguous call names hit from reachable code → candidate count
     /// (the analyzer's explicit blind spots).
@@ -118,10 +120,14 @@ pub struct AnalysisOutput {
 impl AnalysisOutput {
     /// Deterministic pretty-JSON document (the `results/ANALYSIS.json`
     /// baseline format). Hand-rolled; strings are escaped minimally.
+    ///
+    /// It holds no line numbers and no counters, so it changes only when
+    /// a finding does: allowances are keyed by rule, file, enclosing fn
+    /// and reason, with a count per key, and entry points by name and
+    /// file. [`AnalysisOutput::counts_json`] carries the rest.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n  \"version\": 1,\n");
-        s.push_str(&format!("  \"summary\": {},\n", self.report.json_summary()));
+        s.push_str("{\n  \"version\": 2,\n");
         s.push_str("  \"findings\": [");
         for (i, d) in self.report.diagnostics.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -134,17 +140,22 @@ impl AnalysisOutput {
             ));
         }
         s.push_str(if self.report.diagnostics.is_empty() { "],\n" } else { "\n  ],\n" });
+        let mut allowed: BTreeMap<(&str, &str, &str, &str), usize> = BTreeMap::new();
+        for a in &self.allowed {
+            let file = a.location.rsplit_once(':').map_or(a.location.as_str(), |(f, _)| f);
+            *allowed.entry((a.rule, file, &a.func, &a.reason)).or_default() += 1;
+        }
         s.push_str("  \"allowed\": [");
-        for (i, a) in self.allowed.iter().enumerate() {
+        for (i, ((rule, file, func, reason), n)) in allowed.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str(&format!(
-                "    {{\"rule\": \"{}\", \"location\": \"{}\", \"reason\": \"{}\"}}",
-                a.rule,
-                esc(&a.location),
-                esc(&a.reason)
+                "    {{\"rule\": \"{rule}\", \"file\": \"{}\", \"fn\": \"{}\", \"reason\": \"{}\", \"count\": {n}}}",
+                esc(file),
+                esc(func),
+                esc(reason)
             ));
         }
-        s.push_str(if self.allowed.is_empty() { "],\n" } else { "\n  ],\n" });
+        s.push_str(if allowed.is_empty() { "],\n" } else { "\n  ],\n" });
         s.push_str("  \"entry_points\": [");
         for (i, e) in self.entry_points.iter().enumerate() {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
@@ -156,9 +167,17 @@ impl AnalysisOutput {
             s.push_str(if i == 0 { "\n" } else { ",\n" });
             s.push_str(&format!("    \"{}\": {}", esc(name), n));
         }
-        s.push_str(if self.ambiguous.is_empty() { "},\n" } else { "\n  },\n" });
-        s.push_str(&format!(
-            "  \"stats\": {{\"files\": {}, \"fns\": {}, \"call_sites\": {}, \"resolved_edges\": {}, \"reachable_fns\": {}, \"unsafe_sites\": {}, \"env_reads\": {}}}\n",
+        s.push_str(if self.ambiguous.is_empty() { "}\n" } else { "\n  }\n" });
+        s.push_str("}\n");
+        s
+    }
+
+    /// One-line JSON of the finding summary and the coverage counters:
+    /// what `--analyze --json` prints beside the document, not in it.
+    pub fn counts_json(&self) -> String {
+        format!(
+            "{{\"summary\": {}, \"stats\": {{\"files\": {}, \"fns\": {}, \"call_sites\": {}, \"resolved_edges\": {}, \"reachable_fns\": {}, \"unsafe_sites\": {}, \"env_reads\": {}}}}}",
+            self.report.json_summary(),
             self.stats.files,
             self.stats.fns,
             self.stats.call_sites,
@@ -166,9 +185,7 @@ impl AnalysisOutput {
             self.stats.reachable_fns,
             self.stats.unsafe_sites,
             self.stats.env_reads
-        ));
-        s.push_str("}\n");
-        s
+        )
     }
 
     /// Human-readable rendering: findings (or a clean line) plus the
@@ -243,7 +260,8 @@ fn emit(
     let location = format!("{}:{}", file.rel, line);
     if let Some(marker) = file.allow_for("analyze", rule, line) {
         if !marker.reason.is_empty() {
-            out.allowed.push(AllowedFinding { rule, location, reason: marker.reason.clone() });
+            let func = file.enclosing_fn(line);
+            out.allowed.push(AllowedFinding { rule, location, func, reason: marker.reason.clone() });
             return;
         }
         // Reason-less markers do not suppress; the marker itself is also
@@ -292,7 +310,7 @@ fn panic_reachability(ws: &Workspace, out: &mut AnalysisOutput) {
             && SERVE_ENTRY_POINTS.contains(&def.name.as_str())
         {
             entries.push(id);
-            out.entry_points.push(format!("{} @ {}:{}", def.name, file.rel, def.line));
+            out.entry_points.push(format!("{} @ {}", def.name, file.rel));
         }
     }
     let has_serve = ws.files.iter().any(|f| f.krate == "serve");

@@ -185,6 +185,23 @@ impl SourceFile {
         self.loop_regions.iter().any(|&(a, b)| a <= i && i <= b)
     }
 
+    /// The innermost fn whose body spans `line`, as `Type::name` for a
+    /// method and `name` otherwise; empty outside every fn body.
+    pub fn enclosing_fn(&self, line: u32) -> String {
+        self.fns
+            .iter()
+            .filter(|f| {
+                let (a, b) = f.body;
+                b > a && self.toks[a].line <= line && line <= self.toks[b].line
+            })
+            .max_by_key(|f| f.body.0)
+            .map(|f| match &f.impl_type {
+                Some(t) => format!("{t}::{}", f.name),
+                None => f.name.clone(),
+            })
+            .unwrap_or_default()
+    }
+
     /// Allow markers that silence a finding on `line` for `rule` under
     /// `scheme` (marker on the same line or the one above). Returns the
     /// first matching marker.

@@ -13,9 +13,10 @@
 //!
 //! `--analyze` runs the token-level lint plus the four whole-program
 //! analyses (panic-reachability on the serving path, env-var contract,
-//! RNG discipline, unsafe audit); with `--json` it prints the full
-//! `results/ANALYSIS.json` baseline document instead of the one-line
-//! summary.
+//! RNG discipline, unsafe audit); with `--json` it prints the
+//! `results/ANALYSIS.json` baseline document on stdout and the finding
+//! summary and coverage counters, which the document leaves out, as one
+//! JSON line on stderr.
 //!
 //! Exits 1 when any finding survives, 0 on a clean tree, 2 on usage errors.
 
@@ -56,6 +57,7 @@ fn main() -> ExitCode {
         };
         if json {
             print!("{}", out.to_json());
+            eprintln!("{}", out.counts_json());
         } else {
             println!("{}", out.render_text());
         }

@@ -133,3 +133,61 @@ fn a_name_only_the_registry_and_the_docs_mention_is_stale() {
     assert_eq!(env.len(), 1, "{env:?}");
     assert!(env[0].contains(stale) && env[0].contains("stale registry entry"), "{env:?}");
 }
+
+/// A one-file serve crate: both entry points reach `decode_request`,
+/// whose one panic site is allowed.
+const SERVER_RS: &str = "\
+pub fn handle_connection(reqs: &[u32]) -> u32 {
+    decode_request(reqs)
+}
+
+pub fn run_model_thread(reqs: &[u32]) -> u32 {
+    decode_request(reqs)
+}
+
+fn decode_request(reqs: &[u32]) -> u32 {
+    // analyze:allow(panic, callers send at least one request)
+    *reqs.first().unwrap()
+}
+";
+
+/// The baseline document of a tree holding only `server_rs` as
+/// `crates/serve/src/server.rs`.
+fn serve_fixture_doc(tag: &str, server_rs: &str) -> String {
+    let root = std::env::temp_dir().join(format!("autoac_analyze_{}_{tag}", std::process::id()));
+    let src = root.join("crates/serve/src");
+    std::fs::create_dir_all(&src).expect("mkdir");
+    std::fs::write(src.join("server.rs"), server_rs).expect("write fixture");
+    let ws = Workspace::load(&root).expect("fixture loads");
+    let _ = std::fs::remove_dir_all(&root);
+    let out = rules::analyze(&ws);
+    assert!(out.report.is_clean(), "{}", out.report.render());
+    out.to_json()
+}
+
+#[test]
+fn a_blank_line_above_an_allowed_site_leaves_the_baseline_unchanged() {
+    let before = serve_fixture_doc("before", SERVER_RS);
+    let key = "\"file\": \"crates/serve/src/server.rs\", \"fn\": \"decode_request\", \
+               \"reason\": \"callers send at least one request\", \"count\": 1}";
+    assert!(before.contains(key), "{before}");
+    assert!(before.contains("\"handle_connection @ crates/serve/src/server.rs\""), "{before}");
+    // The blank line moves the entry points and the allowed site down.
+    let after = serve_fixture_doc("after", &format!("\n{SERVER_RS}"));
+    assert_eq!(before, after);
+}
+
+#[test]
+fn a_second_allowed_site_in_one_fn_raises_its_count() {
+    let twice = SERVER_RS.replace(
+        "    *reqs.first().unwrap()\n",
+        "    let first = *reqs.first().unwrap();\n    \
+         // analyze:allow(panic, callers send at least one request)\n    \
+         first + *reqs.last().unwrap()\n",
+    );
+    let doc = serve_fixture_doc("twice", &twice);
+    let key = "\"fn\": \"decode_request\", \"reason\": \"callers send at least one request\", \
+               \"count\": 2}";
+    assert!(doc.contains(key), "{doc}");
+    assert_ne!(doc, serve_fixture_doc("once", SERVER_RS));
+}

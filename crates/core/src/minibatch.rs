@@ -683,28 +683,43 @@ mod tests {
 
     #[test]
     fn full_batch_config_is_bitwise_identical_to_legacy_pipeline() {
-        let data = tiny();
-        let gnn = cfg(&data);
-        let tc = TrainConfig { epochs: 4, patience: 4, ..Default::default() };
-        let mode = || CompletionMode::Single(CompletionOp::Mean);
-
-        let mut rng = StdRng::seed_from_u64(11);
-        let legacy = Pipeline::new(&data, Backbone::Gcn, &gnn, mode(), &mut rng);
-        let a = crate::trainer::train_node_classification(&legacy, &data, &tc, 5);
-
-        let mut rng = StdRng::seed_from_u64(11);
-        let mbp = MinibatchPipeline::new(&data, &gnn, mode(), &mut rng);
-        let b = train_node_classification_minibatch(
-            &mbp,
-            &data,
-            &tc,
-            &MinibatchConfig::full_batch(),
-            5,
-            None,
+        // Two inputs: tiny IMDB with mean completion, and a 2,000-node
+        // power-law `generate_scale` graph with zero-filled attributes.
+        let imdb = tiny();
+        let scale = autoac_data::generate_scale(
+            &autoac_data::ScaleSpec::with_total_nodes("scale-2k", 2_000),
+            0,
         );
-        assert_eq!(a.micro_f1.to_bits(), b.micro_f1.to_bits());
-        assert_eq!(a.macro_f1.to_bits(), b.macro_f1.to_bits());
-        assert_eq!(a.epochs_run, b.epochs_run);
+        let scale_gnn = GnnConfig {
+            in_dim: 32,
+            hidden: 32,
+            out_dim: scale.num_classes,
+            layers: 2,
+            heads: 1,
+            dropout: 0.1,
+            slope: 0.05,
+            edge_dim: 8,
+            beta: 0.05,
+        };
+        let cases = [
+            (&imdb, cfg(&imdb), CompletionMode::Single(CompletionOp::Mean), 11, 5, 4),
+            (&scale, scale_gnn, CompletionMode::Zero, 0, 0, 8),
+        ];
+        for (data, gnn, mode, build_seed, seed, epochs) in cases {
+            let tc = TrainConfig { epochs, patience: epochs, ..Default::default() };
+            let mut rng = StdRng::seed_from_u64(build_seed);
+            let legacy = Pipeline::new(data, Backbone::Gcn, &gnn, mode.clone(), &mut rng);
+            let a = crate::trainer::train_node_classification(&legacy, data, &tc, seed);
+
+            let mut rng = StdRng::seed_from_u64(build_seed);
+            let mbp = MinibatchPipeline::new(data, &gnn, mode, &mut rng);
+            let full = MinibatchConfig::full_batch();
+            let b = train_node_classification_minibatch(&mbp, data, &tc, &full, seed, None);
+            let what = data.name.as_str();
+            assert_eq!(a.micro_f1.to_bits(), b.micro_f1.to_bits(), "{what}: micro-F1");
+            assert_eq!(a.macro_f1.to_bits(), b.macro_f1.to_bits(), "{what}: macro-F1");
+            assert_eq!(a.epochs_run, b.epochs_run, "{what}: epochs");
+        }
     }
 
     #[test]

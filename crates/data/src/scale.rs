@@ -310,14 +310,6 @@ impl DegreeProfile {
         }
         Ok(())
     }
-
-    /// One-line summary for bench reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "degree min {} / max {} / mean {:.2}, gamma_hat {:.2}",
-            self.min, self.max, self.mean, self.gamma_hat
-        )
-    }
 }
 
 #[cfg(test)]
@@ -376,7 +368,6 @@ mod tests {
             "gamma_hat {:.3} outside the plausible band",
             p.gamma_hat
         );
-        assert!(!p.summary().is_empty());
     }
 
     #[test]

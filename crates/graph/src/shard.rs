@@ -10,8 +10,7 @@
 //! depends only on the node's own neighbors and their attribute mask).
 //! Degree-normalized operators (`gcn_attr_agg`) and K-hop propagation (PPNP)
 //! additionally read *halo* degrees / deeper hops and are approximations
-//! under sharding — documented, measured by `bench_shard`, never silently
-//! assumed exact.
+//! under sharding — documented, never silently assumed exact.
 //!
 //! One strategy, [`ShardStrategy::DegreeLocality`]: deterministic BFS growth
 //! seeded from the highest-degree unassigned node, capacity-capped at

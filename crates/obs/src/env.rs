@@ -8,7 +8,7 @@
 //! 1. [`with_obs`] — scoped per-thread override, for tests that compare
 //!    instrumented and uninstrumented runs bit-for-bit in one process.
 //! 2. [`set_force`] — process-global override, for harness binaries
-//!    (`table4_runtime`, `bench_alloc`, `obs_smoke`) that always want the
+//!    (`table4_runtime`, `obs_smoke`, the benchmark) that always want the
 //!    span data regardless of the environment, and for tests that need
 //!    worker threads (which never inherit a thread-local override) to see
 //!    obs as enabled.

@@ -12,6 +12,9 @@
 //!              [--trace-seed N]
 //! ```
 //!
+//! `--help` prints the usage on stdout and exits 0. An unknown flag or a
+//! bad value exits 2 with a message on stderr.
+//!
 //! `--port-file` writes the actual bound `host:port` (useful with port 0)
 //! so shell scripts can wait for readiness and find the server. Shutdown:
 //! SIGINT/SIGTERM or `POST /admin/shutdown`, both graceful — and both
@@ -24,14 +27,17 @@ use std::process::exit;
 use autoac_core::{train_serve_state, Backbone, ServeTrainSpec, TrainConfig};
 use autoac_serve::{signals, ServeConfig, Server};
 
+const USAGE: &str = "\
+usage: autoac_serve --train-out PATH [--preset P --scale S --backbone B --data-seed N
+                    --seed N --epochs N]
+       autoac_serve --checkpoint PATH [--addr A --workers N --batch-max N --flush-us N
+                    --no-batching --port-file PATH --flight-dir DIR --run NAME
+                    --trace-seed N]
+       autoac_serve --help";
+
+/// An unknown or incomplete flag: the usage on stderr, exit 2.
 fn usage() -> ! {
-    eprintln!(
-        "usage: autoac_serve --train-out PATH [--preset P --scale S --backbone B \
-         --data-seed N --seed N --epochs N]\n\
-         \x20      autoac_serve --checkpoint PATH [--addr A --workers N --batch-max N \
-         --flush-us N --no-batching --port-file PATH --flight-dir DIR --run NAME \
-         --trace-seed N]"
-    );
+    eprintln!("{USAGE}");
     exit(2);
 }
 
@@ -72,6 +78,10 @@ fn main() {
             "--flight-dir" => cfg.flight_dir = PathBuf::from(value()),
             "--run" => cfg.run = value(),
             "--trace-seed" => cfg.trace_seed = parse_num(&value(), "--trace-seed"),
+            "--help" | "-h" => {
+                println!("{USAGE}");
+                return;
+            }
             _ => usage(),
         }
     }

@@ -1,8 +1,8 @@
 //! Minimal blocking HTTP/1.1 client for driving the server.
 //!
-//! Used by the integration tests, `serve_bench`'s closed-loop clients,
-//! and `scripts/verify.sh` (via `serve_bench --connect`), so none of them
-//! need `curl` or an HTTP dependency. Keeps one connection alive across
+//! Used by the integration tests, including the ones that drive spawned
+//! `autoac_serve` processes, so none of them need `curl` or an HTTP
+//! dependency. Keeps one connection alive across
 //! requests, mirroring the framing rules in [`crate::http`].
 
 use std::io::{self, Read, Write};

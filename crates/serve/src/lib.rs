@@ -28,9 +28,9 @@
 //! constant attribute block under an RNG seeded from the checkpoint's
 //! `infer_seed`, so its logits are a pure function of (checkpoint, node
 //! id). Every classify copies its rows out of that one block.
-//! `serve_bench` and the integration tests diff response digests
-//! batched-vs-unbatched, and `/metrics` counts the forwards
-//! (`autoac_serve_forward_ns_count`, one per loaded checkpoint).
+//! The integration tests diff batched against unbatched responses, in
+//! process and across two spawned daemons, and `/metrics` counts the
+//! forwards (`autoac_serve_forward_ns_count`, one per loaded checkpoint).
 //!
 //! ```no_run
 //! use autoac_core::{train_serve_state, ServeTrainSpec};

@@ -359,7 +359,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul`] on the scalar reference kernel: the bitwise
-    /// oracle for the parity harness and `bench_kernels`.
+    /// oracle for the parity harness.
     #[doc(hidden)]
     pub fn matmul_reference(&self, other: &Matrix) -> Matrix {
         self.matmul_with(other, microkernel::matmul_scalar)
@@ -394,7 +394,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_tn`] on the scalar reference kernel: the bitwise
-    /// oracle for the parity harness and `bench_kernels`.
+    /// oracle for the parity harness.
     #[doc(hidden)]
     pub fn matmul_tn_reference(&self, other: &Matrix) -> Matrix {
         self.matmul_tn_with(other, microkernel::matmul_tn_scalar)
@@ -429,7 +429,7 @@ impl Matrix {
     }
 
     /// [`Matrix::matmul_nt`] on the scalar reference kernel: the bitwise
-    /// oracle for the parity harness and `bench_kernels`.
+    /// oracle for the parity harness.
     #[doc(hidden)]
     pub fn matmul_nt_reference(&self, other: &Matrix) -> Matrix {
         self.matmul_nt_with(other, microkernel::matmul_nt_scalar)

@@ -8,8 +8,7 @@
 //!   and [`crate::Csr::matmul_dense`].
 //! - `*_scalar` — the original streaming loops, kept verbatim as the
 //!   bitwise oracle. Only the doc-hidden `*_reference` twins of the ops
-//!   run them, for the parity harness (`tests/kernel_parity.rs`) and
-//!   `bench_kernels`.
+//!   run them, for the parity harness (`tests/kernel_parity.rs`).
 //!
 //! The blocked variants compute **the same floating-point operations in
 //! the same order per output element** and are therefore bitwise equal to

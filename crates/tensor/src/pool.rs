@@ -169,7 +169,7 @@ pub fn stats_snapshot() -> PoolStats {
 /// cleared. Each counter is taken with an atomic `swap`, so an increment
 /// can never land in the window between "read" and "zero" and vanish —
 /// every event is attributed to exactly one measurement interval. This is
-/// what `bench_alloc` and the obs layer use to delimit phases.
+/// what the benchmark uses to delimit phases.
 pub fn stats_reset() -> PoolStats {
     PoolStats {
         hits: HITS.swap(0, Ordering::Relaxed),

@@ -246,7 +246,7 @@ impl Csr {
     }
 
     /// [`Csr::matmul_dense`] on the scalar reference kernel: the bitwise
-    /// oracle for the parity harness and `bench_kernels`.
+    /// oracle for the parity harness.
     #[doc(hidden)]
     pub fn matmul_dense_reference(&self, x: &Matrix) -> Matrix {
         self.matmul_dense_with(x, microkernel::spmm_scalar)

@@ -56,6 +56,11 @@ fn adversarial_matrix(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix {
 
 fn adversarial_csr(rng: &mut StdRng, rows: usize, cols: usize) -> Csr {
     let nnz = rng.gen_range(0..rows * cols.min(16) + 1);
+    random_csr(rng, rows, cols, nnz)
+}
+
+/// `nnz` uniformly placed entries (duplicates summed by `from_coo`).
+fn random_csr(rng: &mut StdRng, rows: usize, cols: usize, nnz: usize) -> Csr {
     Csr::from_coo(
         rows,
         cols,
@@ -173,6 +178,28 @@ fn fixed_seam_shapes_match_the_reference() {
         check(MATMUL_NT, &a, &bt, &format!("seam matmul_nt {m}x{k}x{n}"));
         let s = adversarial_csr(&mut rng, m, k);
         check(SPMM, &s, &b, &format!("seam spmm {m}x{k}x{n}"));
+    }
+    // Workload-sized shapes past the random draw's 300 per dimension: a
+    // 256-row projection and its n = 1 score column, the matching
+    // backward products, and 512-node aggregations at 8 and 2 nonzeros
+    // per row.
+    for (m, k, n) in [(256, 64, 64), (256, 64, 1)] {
+        let a = adversarial_matrix(&mut rng, m, k);
+        let b = adversarial_matrix(&mut rng, k, n);
+        check(MATMUL, &a, &b, &format!("workload matmul {m}x{k}x{n}"));
+    }
+    let (m, k, n) = (64, 256, 64);
+    let at = adversarial_matrix(&mut rng, k, m);
+    let b = adversarial_matrix(&mut rng, k, n);
+    check(MATMUL_TN, &at, &b, &format!("workload matmul_tn {m}x{k}x{n}"));
+    let (m, k, n) = (256, 64, 64);
+    let a = adversarial_matrix(&mut rng, m, k);
+    let bt = adversarial_matrix(&mut rng, n, k);
+    check(MATMUL_NT, &a, &bt, &format!("workload matmul_nt {m}x{k}x{n}"));
+    for (n, nnz) in [(64, 4096), (32, 1024)] {
+        let s = random_csr(&mut rng, 512, 512, nnz);
+        let x = adversarial_matrix(&mut rng, 512, n);
+        check(SPMM, &s, &x, &format!("workload spmm 512x512x{n} nnz={nnz}"));
     }
 }
 
