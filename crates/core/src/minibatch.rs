@@ -694,12 +694,10 @@ mod tests {
             in_dim: 32,
             hidden: 32,
             out_dim: scale.num_classes,
-            layers: 2,
             heads: 1,
             dropout: 0.1,
-            slope: 0.05,
             edge_dim: 8,
-            beta: 0.05,
+            ..Default::default()
         };
         let cases = [
             (&imdb, cfg(&imdb), CompletionMode::Single(CompletionOp::Mean), 11, 5, 4),
