@@ -15,6 +15,8 @@ use crate::format::{CkptError, Snapshot};
 
 const PREFIX: &str = "ckpt-";
 const SUFFIX: &str = ".bin";
+/// Snapshots retained per directory; older ones are pruned at each save.
+const KEEP: usize = 3;
 
 /// A directory of retained snapshots for one run.
 #[derive(Debug, Clone)]
@@ -56,19 +58,14 @@ impl CheckpointDir {
     }
 
     /// Atomically writes a snapshot for `epochs_done` completed epochs, then
-    /// prunes so that at most `keep` snapshots remain (newest win). Returns
-    /// the final path.
-    pub fn save(
-        &self,
-        epochs_done: usize,
-        snap: &Snapshot,
-        keep: usize,
-    ) -> Result<PathBuf, CkptError> {
+    /// prunes so that at most `KEEP` (3) snapshots remain (newest win).
+    /// Returns the final path.
+    pub fn save(&self, epochs_done: usize, snap: &Snapshot) -> Result<PathBuf, CkptError> {
         let path = self.snapshot_path(epochs_done);
         snap.write_atomic(&path)?;
         let existing = self.list();
-        if existing.len() > keep.max(1) {
-            for (_, old) in &existing[..existing.len() - keep.max(1)] {
+        if existing.len() > KEEP {
+            for (_, old) in &existing[..existing.len() - KEEP] {
                 // Best-effort: a prune failure must not fail the save.
                 let _ = std::fs::remove_file(old);
             }
@@ -121,7 +118,7 @@ mod tests {
     fn save_prunes_to_retention_window() {
         let dir = CheckpointDir::new(tmp_dir("prune")).unwrap();
         for epoch in [2, 4, 6, 8, 10] {
-            dir.save(epoch, &snap(epoch as u64), 3).unwrap();
+            dir.save(epoch, &snap(epoch as u64)).unwrap();
         }
         let kept: Vec<usize> = dir.list().into_iter().map(|(e, _)| e).collect();
         assert_eq!(kept, vec![6, 8, 10]);
@@ -134,8 +131,8 @@ mod tests {
     #[test]
     fn load_latest_falls_back_past_corruption() {
         let dir = CheckpointDir::new(tmp_dir("corrupt")).unwrap();
-        dir.save(2, &snap(2), 3).unwrap();
-        dir.save(4, &snap(4), 3).unwrap();
+        dir.save(2, &snap(2)).unwrap();
+        dir.save(4, &snap(4)).unwrap();
         // Corrupt the newest snapshot's payload bytes.
         let newest = dir.snapshot_path(4);
         let mut bytes = std::fs::read(&newest).unwrap();

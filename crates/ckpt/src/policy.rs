@@ -1,5 +1,5 @@
 //! The knob surface training loops consume: where snapshots go, how often
-//! they are taken, how many are retained, and whether/where to resume from.
+//! they are taken, and whether to resume from them.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -7,33 +7,20 @@ use std::time::Duration;
 use crate::dir::CheckpointDir;
 use crate::format::{CkptError, Snapshot};
 
-#[derive(Debug, Clone)]
-enum ResumeMode {
-    /// Start fresh even if snapshots exist.
-    Fresh,
-    /// Resume from the newest readable snapshot in the directory (falling
-    /// back past corrupted ones), or start fresh if none is readable.
-    Latest,
-    /// Resume from one specific snapshot file; failure to read it is a hard
-    /// error rather than a silent fresh start.
-    Path(PathBuf),
-}
-
 /// Checkpointing configuration handed to [`search`](../autoac_core) and
 /// trainer loops. Built fluently:
 ///
 /// ```no_run
 /// use autoac_ckpt::CheckpointPolicy;
-/// let policy = CheckpointPolicy::new("runs/dblp-search")
-///     .checkpoint_every(5)
-///     .keep_last(3);
+/// let policy = CheckpointPolicy::new("runs/dblp-search").checkpoint_every(5);
 /// ```
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     dir: PathBuf,
     every: usize,
-    keep: usize,
-    resume: ResumeMode,
+    /// Start fresh even if snapshots exist (otherwise resume from the
+    /// newest readable snapshot, falling back past corrupted ones).
+    fresh: bool,
     throttle: Option<Duration>,
 }
 
@@ -41,13 +28,7 @@ impl CheckpointPolicy {
     /// Policy rooted at `dir`: snapshot every epoch, keep the last 3,
     /// resume from the latest readable snapshot when one exists.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            every: 1,
-            keep: 3,
-            resume: ResumeMode::Latest,
-            throttle: None,
-        }
+        Self { dir: dir.into(), every: 1, fresh: false, throttle: None }
     }
 
     /// Snapshot after every `n` completed epochs (`n ≥ 1`).
@@ -57,25 +38,10 @@ impl CheckpointPolicy {
         self
     }
 
-    /// Retain the newest `k` snapshots (`k ≥ 1`); older ones are pruned at
-    /// each save.
-    pub fn keep_last(mut self, k: usize) -> Self {
-        assert!(k >= 1, "keep_last: must retain at least one snapshot");
-        self.keep = k;
-        self
-    }
-
     /// Never resume — always start from scratch (snapshots are still
     /// written).
     pub fn fresh(mut self) -> Self {
-        self.resume = ResumeMode::Fresh;
-        self
-    }
-
-    /// Resume from one specific snapshot file instead of the newest in the
-    /// directory. Reading it fails hard instead of falling back.
-    pub fn resume_from(mut self, path: impl Into<PathBuf>) -> Self {
-        self.resume = ResumeMode::Path(path.into());
+        self.fresh = true;
         self
     }
 
@@ -99,45 +65,22 @@ impl CheckpointPolicy {
 
     /// Atomically writes a snapshot and prunes to the retention window.
     pub fn save(&self, epochs_done: usize, snap: &Snapshot) -> Result<PathBuf, CkptError> {
-        CheckpointDir::new(&self.dir)?.save(epochs_done, snap, self.keep)
+        CheckpointDir::new(&self.dir)?.save(epochs_done, snap)
     }
 
-    /// The snapshot to resume from, per the policy's resume mode:
-    /// `Ok(None)` means "start fresh" (either requested, or no readable
-    /// snapshot exists yet). An explicit `resume_from` path that cannot be
-    /// read is an error.
+    /// The snapshot to resume from: `Ok(None)` means "start fresh" (either
+    /// requested, or no readable snapshot exists yet).
     pub fn resume_snapshot(&self) -> Result<Option<(usize, Snapshot)>, CkptError> {
-        match &self.resume {
-            ResumeMode::Fresh => Ok(None),
-            ResumeMode::Latest => {
-                if !self.dir.exists() {
-                    return Ok(None);
-                }
-                Ok(CheckpointDir::new(&self.dir)?.load_latest())
-            }
-            ResumeMode::Path(path) => {
-                let snap = Snapshot::read(path)?;
-                // The epoch count lives in the state sections; callers read
-                // it from there. 0 here is a placeholder the caller ignores.
-                Ok(Some((0, snap)))
-            }
+        if self.fresh || !self.dir.exists() {
+            return Ok(None);
         }
+        Ok(CheckpointDir::new(&self.dir)?.load_latest())
     }
 
     /// A derived policy for a sub-stage (e.g. `search` vs. `retrain` of one
-    /// AutoAC run), rooted in a subdirectory. An explicit `resume_from`
-    /// path does not propagate — sub-stages go back to latest-in-dir.
+    /// AutoAC run), rooted in a subdirectory.
     pub fn substage(&self, name: &str) -> Self {
-        Self {
-            dir: self.dir.join(name),
-            every: self.every,
-            keep: self.keep,
-            resume: match &self.resume {
-                ResumeMode::Fresh => ResumeMode::Fresh,
-                _ => ResumeMode::Latest,
-            },
-            throttle: self.throttle,
-        }
+        Self { dir: self.dir.join(name), ..self.clone() }
     }
 
     /// Applies the test-only epoch throttle (no-op unless configured).
@@ -169,16 +112,13 @@ mod tests {
     fn fresh_never_resumes() {
         let root = std::env::temp_dir().join(format!("autoac-ckpt-pol-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let p = CheckpointPolicy::new(&root).keep_last(2);
+        let p = CheckpointPolicy::new(&root);
         assert!(p.resume_snapshot().unwrap().is_none(), "no dir yet → fresh start");
         let mut s = Snapshot::new();
         s.put_u64("epochs_done", 3);
         p.save(3, &s).unwrap();
         assert!(p.resume_snapshot().unwrap().is_some());
         assert!(p.clone().fresh().resume_snapshot().unwrap().is_none());
-        // Explicit path resume: must fail hard on a missing file.
-        let missing = p.clone().resume_from(root.join("nope.bin"));
-        assert!(missing.resume_snapshot().is_err());
         // Substage lands in a subdirectory with nothing to resume.
         let sub = p.substage("retrain");
         assert_eq!(sub.dir(), root.join("retrain"));

@@ -12,7 +12,6 @@ mod module;
 mod ops;
 
 pub use module::{
-    complete_assigned, complete_assigned_in, complete_mixture, complete_mixture_in,
-    complete_single, restrict_rows, Transform,
+    complete_assigned, complete_assigned_in, complete_mixture, complete_mixture_in, Transform,
 };
 pub use ops::{CompletionContext, CompletionOp, CompletionOps};

@@ -1,7 +1,7 @@
 //! Completion assembly: mixture (continuous relaxation, Eq. 5) and
 //! discrete-assignment completion, plus small shared helpers.
 
-use autoac_tensor::{Csr, Tensor};
+use autoac_tensor::Tensor;
 use rand::Rng;
 
 use crate::ops::{CompletionOp, CompletionOps};
@@ -24,11 +24,6 @@ impl Transform {
     }
 }
 
-/// Returns a copy of `csr` with only the given rows kept (others emptied).
-pub fn restrict_rows(csr: &Csr, rows: &[u32]) -> Csr {
-    csr.restrict_rows(rows)
-}
-
 /// Completes the zero rows of `x0` with a *weighted mixture* of all ops
 /// (Eq. 5 after softmax/discretization has produced `weights`).
 ///
@@ -43,13 +38,6 @@ pub fn complete_mixture(ops: &CompletionOps, x0: &Tensor, weights: &Tensor) -> T
 /// evaluated — ops assigned to no node cost nothing).
 pub fn complete_assigned(ops: &CompletionOps, x0: &Tensor, assignment: &[CompletionOp]) -> Tensor {
     complete_assigned_in(ops, ops.ctx(), ops.identity_rows(), x0, assignment)
-}
-
-/// Completes with a single op for every `V⁻` node (the Table VI/VII
-/// single-operation baselines).
-pub fn complete_single(ops: &CompletionOps, x0: &Tensor, op: CompletionOp) -> Tensor {
-    let n = ops.ctx().num_missing();
-    complete_assigned(ops, x0, &vec![op; n])
 }
 
 /// [`complete_mixture`] against an external (subgraph) context: `ctx` and
@@ -186,15 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn single_op_completion_matches_uniform_assignment() {
-        let (ops, x0) = setup();
-        let single = complete_single(&ops, &x0, CompletionOp::Gcn).to_matrix();
-        let assigned =
-            complete_assigned(&ops, &x0, &[CompletionOp::Gcn, CompletionOp::Gcn]).to_matrix();
-        assert_eq!(single, assigned);
-    }
-
-    #[test]
     fn mixture_weights_receive_gradients() {
         let (ops, x0) = setup();
         let w = Tensor::param(Matrix::full(2, 4, 0.25));
@@ -217,15 +196,6 @@ mod tests {
             "unused op must not be evaluated"
         );
         assert!(ops.op_params(CompletionOp::OneHot)[0].grad().is_none());
-    }
-
-    #[test]
-    fn restrict_rows_empties_other_rows() {
-        let csr = Csr::from_coo(3, 3, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]);
-        let r = restrict_rows(&csr, &[1]);
-        assert_eq!(r.row_nnz(0), 0);
-        assert_eq!(r.row_nnz(1), 1);
-        assert_eq!(r.row_nnz(2), 0);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 use std::fmt;
 use std::rc::Rc;
 
-use autoac_graph::cache::NormOp;
-use autoac_graph::{norm, ppr, HeteroGraph, OpCache};
+use autoac_graph::{norm, ppr, AttrAggs, HeteroGraph, OpCache};
 use autoac_tensor::{spmm, Csr, Tensor};
 use rand::rngs::StdRng;
 
@@ -80,23 +79,13 @@ pub struct CompletionContext {
 
 impl CompletionContext {
     /// Builds all operators for a graph and attribute mask, each exactly
-    /// once: the norm operator, its `V⁻` rows, their transpose. This is the
-    /// build of a graph that is used once (a sampled batch or a shard); the
-    /// result equals [`CompletionContext::build_cached`]'s bit for bit.
+    /// once. This is the build of a graph that is used once (a sampled
+    /// batch or a shard); the result equals
+    /// [`CompletionContext::build_cached`]'s bit for bit.
     pub fn build(graph: &HeteroGraph, has_attr: &[bool]) -> Self {
         let _obs = autoac_obs::span("completion_context");
-        let missing = missing_nodes(has_attr);
-        let mean_agg = Rc::new(norm::mean_attr_agg(graph, has_attr).restrict_rows(&missing));
-        let gcn_agg = Rc::new(norm::gcn_attr_agg(graph, has_attr).restrict_rows(&missing));
-        Self {
-            mean_agg_t: Rc::new(mean_agg.transpose()),
-            mean_agg,
-            gcn_agg_t: Rc::new(gcn_agg.transpose()),
-            gcn_agg,
-            sym_adj: Rc::new(norm::sym_norm_adj(graph)),
-            missing,
-            num_nodes: graph.num_nodes(),
-        }
+        let sym_adj = Rc::new(norm::sym_norm_adj(graph));
+        Self::assemble(graph, has_attr, AttrAggs::build(graph, has_attr), sym_adj)
     }
 
     /// Like [`CompletionContext::build`], but fetches every operator through
@@ -104,18 +93,20 @@ impl CompletionContext {
     /// graph (search stage, retraining stage, multiple seeds) reuses the
     /// CSR matrices instead of rebuilding them.
     pub fn build_cached(graph: &HeteroGraph, has_attr: &[bool], cache: &OpCache) -> Self {
-        let missing = missing_nodes(has_attr);
-        // Completion only ever reads V⁻ rows of the local aggregators;
-        // restricting them up-front makes each spmm O(edges incident to V⁻).
-        let mask = Some(has_attr);
-        let rows = Some(&missing[..]);
+        let aggs = cache.attr_aggs(graph, has_attr);
+        Self::assemble(graph, has_attr, aggs, cache.sym_norm_adj(graph))
+    }
+
+    /// The one body of both builders. The aggregators hold rows at `V⁻`
+    /// only, so each spmm costs O(edges incident to `V⁻`).
+    fn assemble(graph: &HeteroGraph, has_attr: &[bool], aggs: AttrAggs, sym_adj: Rc<Csr>) -> Self {
         Self {
-            mean_agg: cache.get(graph, NormOp::MeanAttr, mask, rows, false),
-            mean_agg_t: cache.get(graph, NormOp::MeanAttr, mask, rows, true),
-            gcn_agg: cache.get(graph, NormOp::GcnAttr, mask, rows, false),
-            gcn_agg_t: cache.get(graph, NormOp::GcnAttr, mask, rows, true),
-            sym_adj: cache.sym_norm_adj(graph),
-            missing,
+            mean_agg: aggs.mean,
+            mean_agg_t: aggs.mean_t,
+            gcn_agg: aggs.gcn,
+            gcn_agg_t: aggs.gcn_t,
+            sym_adj,
+            missing: missing_nodes(has_attr),
             num_nodes: graph.num_nodes(),
         }
     }
@@ -175,7 +166,7 @@ impl CompletionOps {
     }
 
     /// `0..N⁻`, the one-hot rows of this instance's own context.
-    pub(crate) fn identity_rows(&self) -> &[u32] {
+    pub fn identity_rows(&self) -> &[u32] {
         &self.identity
     }
 

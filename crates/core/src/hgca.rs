@@ -109,7 +109,7 @@ pub fn pretrain_hgca(
         for &m in masked {
             has_ep[m as usize] = false;
         }
-        let agg = Rc::new(crate::hgca::restricted_mean(&data.graph, &has_ep, masked));
+        let agg = Rc::new(norm::mean_attr_agg(&data.graph, &has_ep).restrict_rows(masked));
         let agg_t = Rc::new(agg.transpose());
 
         opt.zero_grad();
@@ -125,10 +125,9 @@ pub fn pretrain_hgca(
         loss.backward();
         opt.step();
     }
-    // Final completion operator over the *actually* missing nodes.
-    let ctx_missing = data.missing_nodes();
+    // Final completion operator over the *actually* missing nodes (the
+    // operator's rows are exactly theirs).
     let agg = norm::mean_attr_agg(&data.graph, &has);
-    let agg = autoac_completion::restrict_rows(&agg, &ctx_missing);
     let agg_t = agg.transpose();
     let model = backbone.build(data, gnn_cfg, &mut rng);
     HgcaPipe {
@@ -136,15 +135,10 @@ pub fn pretrain_hgca(
         w_mean,
         mean_agg: Rc::new(agg),
         mean_agg_t: Rc::new(agg_t),
-        missing: ctx_missing,
+        missing: data.missing_nodes(),
         num_nodes: data.graph.num_nodes(),
         model,
     }
-}
-
-/// Mean aggregation over `has_attr` neighbors, rows restricted to `rows`.
-fn restricted_mean(graph: &autoac_graph::HeteroGraph, has_attr: &[bool], rows: &[u32]) -> Csr {
-    autoac_completion::restrict_rows(&norm::mean_attr_agg(graph, has_attr), rows)
 }
 
 /// Full HGCA run: pre-train, then supervised training of the backbone.

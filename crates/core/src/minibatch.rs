@@ -212,17 +212,9 @@ impl MinibatchPipeline {
     /// operators, and run the GCN stack over the batch's `Â`.
     fn forward_batch(&self, bd: &BatchData, training: bool, rng: &mut StdRng) -> Forward {
         let x0 = self.encoder.encode_subset(&bd.nodes);
-        let x = match &self.mode {
-            CompletionMode::Zero => x0,
-            CompletionMode::Single(op) => {
-                let n = bd.ctx.num_missing();
-                complete_assigned_in(&self.ops, &bd.ctx, &bd.onehot_rows, &x0, &vec![*op; n])
-            }
-            CompletionMode::Assigned(assign) => {
-                let sub: Vec<CompletionOp> =
-                    bd.onehot_rows.iter().map(|&p| assign[p as usize]).collect();
-                complete_assigned_in(&self.ops, &bd.ctx, &bd.onehot_rows, &x0, &sub)
-            }
+        let x = match self.mode.assignment(&bd.onehot_rows) {
+            None => x0,
+            Some(sub) => complete_assigned_in(&self.ops, &bd.ctx, &bd.onehot_rows, &x0, &sub),
         };
         self.gcn.forward_on(&bd.ctx.sym_adj, &x, training, rng)
     }
@@ -231,30 +223,16 @@ impl MinibatchPipeline {
 impl ForwardPipe for MinibatchPipeline {
     fn forward(&self, training: bool, rng: &mut StdRng) -> Forward {
         let x0 = self.encoder.encode();
-        let x = match &self.mode {
-            CompletionMode::Zero => x0,
-            CompletionMode::Single(op) => {
-                let n = self.ops.ctx().num_missing();
-                complete_assigned(&self.ops, &x0, &vec![*op; n])
-            }
-            CompletionMode::Assigned(assign) => complete_assigned(&self.ops, &x0, assign),
+        let x = match self.mode.assignment(self.ops.identity_rows()) {
+            None => x0,
+            Some(assign) => complete_assigned(&self.ops, &x0, &assign),
         };
         self.gcn.forward(&x, training, rng)
     }
 
     fn params(&self) -> Vec<Tensor> {
         let mut p = self.encoder.params();
-        match &self.mode {
-            CompletionMode::Zero => {}
-            CompletionMode::Single(op) => p.extend(self.ops.op_params(*op)),
-            CompletionMode::Assigned(assign) => {
-                for &op in &CompletionOp::ALL {
-                    if assign.contains(&op) {
-                        p.extend(self.ops.op_params(op));
-                    }
-                }
-            }
-        }
+        p.extend(self.mode.op_params(&self.ops));
         p.extend(self.gcn.params());
         p
     }

@@ -140,6 +140,35 @@ pub enum CompletionMode {
     Assigned(Vec<CompletionOp>),
 }
 
+impl CompletionMode {
+    /// The op of each missing node of a completion context, given the
+    /// node's one-hot table row (its position in the whole graph's missing
+    /// list); `None` for [`CompletionMode::Zero`], which completes nothing.
+    pub fn assignment(&self, onehot_rows: &[u32]) -> Option<Vec<CompletionOp>> {
+        match self {
+            CompletionMode::Zero => None,
+            CompletionMode::Single(op) => Some(vec![*op; onehot_rows.len()]),
+            CompletionMode::Assigned(assign) => {
+                Some(onehot_rows.iter().map(|&p| assign[p as usize]).collect())
+            }
+        }
+    }
+
+    /// The parameters of the ops this mode activates, in
+    /// [`CompletionOp::ALL`] order.
+    pub fn op_params(&self, ops: &CompletionOps) -> Vec<Tensor> {
+        match self {
+            CompletionMode::Zero => Vec::new(),
+            CompletionMode::Single(op) => ops.op_params(*op),
+            CompletionMode::Assigned(assign) => CompletionOp::ALL
+                .into_iter()
+                .filter(|op| assign.contains(op))
+                .flat_map(|op| ops.op_params(op))
+                .collect(),
+        }
+    }
+}
+
 /// Uniformly random per-node op assignment (the Random_AC baseline).
 pub fn random_assignment(n: usize, rng: &mut StdRng) -> Vec<CompletionOp> {
     (0..n).map(|_| CompletionOp::from_index(rng.gen_range(0..CompletionOp::ALL.len()))).collect()
@@ -205,13 +234,9 @@ impl Pipeline {
     /// The completed initial embedding under the pipeline's mode.
     pub fn completed_x(&self) -> Tensor {
         let x0 = self.x0();
-        match &self.mode {
-            CompletionMode::Zero => x0,
-            CompletionMode::Single(op) => {
-                let n = self.ops.ctx().num_missing();
-                complete_assigned(&self.ops, &x0, &vec![*op; n])
-            }
-            CompletionMode::Assigned(assign) => complete_assigned(&self.ops, &x0, assign),
+        match self.mode.assignment(self.ops.identity_rows()) {
+            None => x0,
+            Some(assign) => complete_assigned(&self.ops, &x0, &assign),
         }
     }
 
@@ -233,17 +258,7 @@ impl ForwardPipe for Pipeline {
 
     fn params(&self) -> Vec<Tensor> {
         let mut p = self.encoder.params();
-        match &self.mode {
-            CompletionMode::Zero => {}
-            CompletionMode::Single(op) => p.extend(self.ops.op_params(*op)),
-            CompletionMode::Assigned(assign) => {
-                for &op in &CompletionOp::ALL {
-                    if assign.contains(&op) {
-                        p.extend(self.ops.op_params(op));
-                    }
-                }
-            }
-        }
+        p.extend(self.mode.op_params(&self.ops));
         p.extend(self.model.params());
         p
     }

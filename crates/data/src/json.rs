@@ -1,11 +1,12 @@
-//! Minimal JSON reader/writer used by dataset (de)serialization.
+//! Minimal JSON reader/writer used by the serving layer's request and
+//! response bodies.
 //!
 //! Hand-rolled because the build environment has no registry access for
-//! `serde`/`serde_json`. Implements exactly what [`crate::io`] needs: a
+//! `serde`/`serde_json`. Implements exactly what its callers need: a
 //! document tree ([`Value`]), a strict parser, and a compact writer.
 //!
 //! Numbers round-trip through Rust's shortest-representation `Display`, so
-//! every finite `f32` survives save→load bit-exactly (the shortest decimal
+//! every finite `f32` survives write→parse bit-exactly (the shortest decimal
 //! form of an `f32` parses back to the same bits). Non-finite floats are
 //! written as `null` — JSON has no NaN/∞ — and read back as `NaN`.
 
@@ -89,11 +90,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// True if this node is `null`.
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -168,12 +164,6 @@ fn write_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Writes an f32 slice as a JSON array directly (avoids building a `Value`
-/// per element for large feature matrices).
-pub fn f32_array(data: &[f32]) -> Value {
-    Value::Arr(data.iter().map(|&x| Value::Num(x as f64)).collect())
-}
-
 // ---------------------------------------------------------------------------
 // Parser
 // ---------------------------------------------------------------------------
@@ -183,7 +173,7 @@ pub fn f32_array(data: &[f32]) -> Value {
 /// level) exhausts the thread stack and aborts the process instead of
 /// returning an error — unacceptable now that the serving layer feeds it
 /// network input. 128 is far deeper than any document this workspace
-/// writes (dataset files nest 3–4 levels, serve bodies 2) while keeping
+/// writes (the serving documents nest a few levels) while keeping
 /// worst-case recursion to a few KiB of stack.
 pub const MAX_DEPTH: usize = 128;
 

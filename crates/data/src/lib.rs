@@ -11,7 +11,6 @@
 #![warn(missing_docs)]
 
 mod dataset;
-pub mod io;
 pub mod json;
 pub mod masking;
 pub mod presets;

@@ -1,23 +1,27 @@
-//! Per-graph memoization of normalized graph operators.
+//! Per-graph memo of the normalized operators whole-graph pipelines build.
 //!
 //! Building a normalized CSR ([`norm::sym_norm_adj`] and friends) walks
 //! every edge and sorts every row. The AutoAC driver builds the *same*
 //! operators repeatedly — the completion context and the GCN backbone both
 //! want `Â`, and the search stage and the retraining stage each assemble a
 //! fresh pipeline over one unchanged graph. [`OpCache`] makes those rebuilds
-//! free: operators (plus their row-restricted forms and transposes) are
-//! computed once and shared as [`Rc<Csr>`] clones.
+//! free. It holds exactly two things, each built on first use and shared as
+//! [`Rc<Csr>`] clones afterwards:
+//!
+//! * `Â` ([`OpCache::sym_norm_adj`]);
+//! * the `V⁻`-row attribute aggregators of one attribute mask with their
+//!   transposes ([`OpCache::attr_aggs`]).
 //!
 //! A cache is bound to exactly one graph at construction via
-//! [`HeteroGraph::structural_fingerprint`]; every lookup re-checks the
-//! fingerprint (which the graph computes once and keeps, so the check is
-//! O(1)) and panics on mismatch, so a cache can never silently serve
-//! operators for the wrong graph. There is no invalidation — graphs are
-//! immutable, so entries stay valid for the cache's lifetime. Keys store the
-//! full attribute mask / row set (not hashes of them), so lookups are exact.
+//! [`HeteroGraph::structural_fingerprint`], and to the first attribute mask
+//! it is asked for. Every lookup re-checks the fingerprint (which the graph
+//! computes once and keeps, so the check is O(1)), every aggregator lookup
+//! compares the whole mask, and either mismatch panics, so a cache can never
+//! silently serve operators for the wrong graph or mask. There is no
+//! invalidation — graphs are immutable, so entries stay valid for the
+//! cache's lifetime.
 
-use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use autoac_tensor::Csr;
@@ -25,38 +29,45 @@ use autoac_tensor::Csr;
 use crate::hetero::HeteroGraph;
 use crate::norm;
 
-/// Which normalized operator an entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NormOp {
-    /// [`norm::sym_norm_adj`] — `Â`, symmetric norm with self-loops.
-    SymNorm,
-    /// [`norm::row_norm_adj`] — `D⁻¹A`, no self-loops.
-    RowNorm,
-    /// [`norm::mean_attr_agg`] — mean over attributed neighbors (masked).
-    MeanAttr,
-    /// [`norm::gcn_attr_agg`] — degree-normalized sum over attributed
-    /// neighbors (masked).
-    GcnAttr,
+/// The attribute aggregators completion reads: [`norm::mean_attr_agg`] and
+/// [`norm::gcn_attr_agg`] of one mask (rows at `V⁻` only), with the
+/// transposes their autograd needs.
+#[derive(Clone)]
+pub struct AttrAggs {
+    /// Mean aggregation over attributed neighbors.
+    pub mean: Rc<Csr>,
+    /// Its transpose.
+    pub mean_t: Rc<Csr>,
+    /// GCN aggregation over attributed neighbors.
+    pub gcn: Rc<Csr>,
+    /// Its transpose.
+    pub gcn_t: Rc<Csr>,
 }
 
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    op: NormOp,
-    mask: Option<Vec<bool>>,
-    rows: Option<Vec<u32>>,
-    transposed: bool,
+impl AttrAggs {
+    /// Builds the four operators of `g` under `has_attr`, each once.
+    pub fn build(g: &HeteroGraph, has_attr: &[bool]) -> Self {
+        let mean = norm::mean_attr_agg(g, has_attr);
+        let gcn = norm::gcn_attr_agg(g, has_attr);
+        Self {
+            mean_t: Rc::new(mean.transpose()),
+            mean: Rc::new(mean),
+            gcn_t: Rc::new(gcn.transpose()),
+            gcn: Rc::new(gcn),
+        }
+    }
 }
 
 /// Memoized normalized operators for one immutable [`HeteroGraph`].
 ///
-/// Single-threaded by design (interior mutability via [`RefCell`]), matching
-/// the `Rc`-based tensor layer; kernel parallelism lives *inside* the CSR
-/// kernels (`autoac_tensor::parallel`), not across cache entries.
+/// Single-threaded by design (interior mutability via [`OnceCell`]),
+/// matching the `Rc`-based tensor layer; kernel parallelism lives *inside*
+/// the CSR kernels (`autoac_tensor::parallel`), not across cache entries.
 pub struct OpCache {
     fingerprint: u64,
-    entries: RefCell<HashMap<CacheKey, Rc<Csr>>>,
-    hits: Cell<usize>,
-    misses: Cell<usize>,
+    sym_adj: OnceCell<Rc<Csr>>,
+    /// The mask the aggregators were built for, and the aggregators.
+    attr_aggs: OnceCell<(Vec<bool>, AttrAggs)>,
 }
 
 impl OpCache {
@@ -64,129 +75,51 @@ impl OpCache {
     pub fn new(g: &HeteroGraph) -> Self {
         Self {
             fingerprint: g.structural_fingerprint(),
-            entries: RefCell::new(HashMap::new()),
-            hits: Cell::new(0),
-            misses: Cell::new(0),
+            sym_adj: OnceCell::new(),
+            attr_aggs: OnceCell::new(),
         }
     }
 
-    /// The fingerprint this cache is bound to.
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+    /// Cached [`norm::sym_norm_adj`]. Panics if `g` is not the cache's
+    /// graph.
+    pub fn sym_norm_adj(&self, g: &HeteroGraph) -> Rc<Csr> {
+        self.check_graph(g);
+        Rc::clone(memo(&self.sym_adj, || Rc::new(norm::sym_norm_adj(g))))
     }
 
-    /// `(hits, misses)` since construction. A miss that derives from a
-    /// cached base (e.g. the transpose of an already-cached operator) counts
-    /// one miss for the derived entry and one hit for the base.
-    pub fn stats(&self) -> (usize, usize) {
-        (self.hits.get(), self.misses.get())
+    /// Cached [`AttrAggs::build`]. Panics if `g` is not the cache's graph,
+    /// or `has_attr` is not the mask of the cache's first aggregator
+    /// lookup.
+    pub fn attr_aggs(&self, g: &HeteroGraph, has_attr: &[bool]) -> AttrAggs {
+        self.check_graph(g);
+        let (mask, aggs) =
+            memo(&self.attr_aggs, || (has_attr.to_vec(), AttrAggs::build(g, has_attr)));
+        assert!(
+            mask.as_slice() == has_attr,
+            "OpCache: attribute mask does not match the one this cache was built for"
+        );
+        aggs.clone()
     }
 
-    /// Number of distinct operators currently cached.
-    pub fn len(&self) -> usize {
-        self.entries.borrow().len()
-    }
-
-    /// Whether the cache holds no entries yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fetches (building on first use) an operator variant:
-    ///
-    /// * `mask` — attribute mask, required for [`NormOp::MeanAttr`] /
-    ///   [`NormOp::GcnAttr`], forbidden for the topology-only ops;
-    /// * `rows` — if set, the operator is row-restricted
-    ///   ([`Csr::restrict_rows`]) to these rows;
-    /// * `transposed` — if set, the transpose of the (possibly restricted)
-    ///   operator is returned.
-    ///
-    /// Panics if `g` does not match the graph the cache was built for.
-    pub fn get(
-        &self,
-        g: &HeteroGraph,
-        op: NormOp,
-        mask: Option<&[bool]>,
-        rows: Option<&[u32]>,
-        transposed: bool,
-    ) -> Rc<Csr> {
+    fn check_graph(&self, g: &HeteroGraph) {
         assert_eq!(
             g.structural_fingerprint(),
             self.fingerprint,
             "OpCache: graph does not match the one this cache was built for"
         );
-        match op {
-            NormOp::SymNorm | NormOp::RowNorm => {
-                assert!(mask.is_none(), "OpCache: {op:?} takes no attribute mask")
-            }
-            NormOp::MeanAttr | NormOp::GcnAttr => {
-                assert!(mask.is_some(), "OpCache: {op:?} requires an attribute mask")
-            }
-        }
-        self.fetch(g, op, mask, rows, transposed)
     }
+}
 
-    fn fetch(
-        &self,
-        g: &HeteroGraph,
-        op: NormOp,
-        mask: Option<&[bool]>,
-        rows: Option<&[u32]>,
-        transposed: bool,
-    ) -> Rc<Csr> {
-        // Â is symmetric, and the symmetric-norm weight `d_s^-1/2 d_d^-1/2`
-        // is computed identically for both directions, so the unrestricted
-        // transpose is bitwise the same matrix — share the entry.
-        let transposed = transposed && !(op == NormOp::SymNorm && rows.is_none());
-        let key = CacheKey {
-            op,
-            mask: mask.map(<[bool]>::to_vec),
-            rows: rows.map(<[u32]>::to_vec),
-            transposed,
-        };
-        if let Some(hit) = self.entries.borrow().get(&key) {
-            self.hits.set(self.hits.get() + 1);
-            autoac_obs::counter_add("opcache_hits", 1);
-            return Rc::clone(hit);
-        }
-        self.misses.set(self.misses.get() + 1);
-        autoac_obs::counter_add("opcache_misses", 1);
-        let _obs = autoac_obs::span("opcache_build");
-        let built = if transposed {
-            Rc::new(self.fetch(g, op, mask, rows, false).transpose())
-        } else if let Some(rows) = rows {
-            Rc::new(self.fetch(g, op, mask, None, false).restrict_rows(rows))
-        } else {
-            Rc::new(match op {
-                NormOp::SymNorm => norm::sym_norm_adj(g),
-                NormOp::RowNorm => norm::row_norm_adj(g),
-                NormOp::MeanAttr => norm::mean_attr_agg(g, mask.expect("mask checked in get")),
-                NormOp::GcnAttr => norm::gcn_attr_agg(g, mask.expect("mask checked in get")),
-            })
-        };
-        self.entries.borrow_mut().insert(key, Rc::clone(&built));
-        built
+/// The value of `cell`, built by `build` under an `opcache_build` span on
+/// first use; counts the lookup as an `opcache_hits` or `opcache_misses`.
+fn memo<T>(cell: &OnceCell<T>, build: impl FnOnce() -> T) -> &T {
+    if let Some(hit) = cell.get() {
+        autoac_obs::counter_add("opcache_hits", 1);
+        return hit;
     }
-
-    /// Cached [`norm::sym_norm_adj`].
-    pub fn sym_norm_adj(&self, g: &HeteroGraph) -> Rc<Csr> {
-        self.get(g, NormOp::SymNorm, None, None, false)
-    }
-
-    /// Cached [`norm::row_norm_adj`].
-    pub fn row_norm_adj(&self, g: &HeteroGraph) -> Rc<Csr> {
-        self.get(g, NormOp::RowNorm, None, None, false)
-    }
-
-    /// Cached [`norm::mean_attr_agg`].
-    pub fn mean_attr_agg(&self, g: &HeteroGraph, has_attr: &[bool]) -> Rc<Csr> {
-        self.get(g, NormOp::MeanAttr, Some(has_attr), None, false)
-    }
-
-    /// Cached [`norm::gcn_attr_agg`].
-    pub fn gcn_attr_agg(&self, g: &HeteroGraph, has_attr: &[bool]) -> Rc<Csr> {
-        self.get(g, NormOp::GcnAttr, Some(has_attr), None, false)
-    }
+    autoac_obs::counter_add("opcache_misses", 1);
+    let _obs = autoac_obs::span("opcache_build");
+    cell.get_or_init(build)
 }
 
 #[cfg(test)]
@@ -209,51 +142,36 @@ mod tests {
         let (g, has) = toy();
         let cache = OpCache::new(&g);
         assert_eq!(*cache.sym_norm_adj(&g), norm::sym_norm_adj(&g));
-        assert_eq!(*cache.row_norm_adj(&g), norm::row_norm_adj(&g));
-        assert_eq!(*cache.mean_attr_agg(&g, &has), norm::mean_attr_agg(&g, &has));
-        assert_eq!(*cache.gcn_attr_agg(&g, &has), norm::gcn_attr_agg(&g, &has));
+        let aggs = cache.attr_aggs(&g, &has);
+        let mean = norm::mean_attr_agg(&g, &has);
+        let gcn = norm::gcn_attr_agg(&g, &has);
+        assert_eq!(*aggs.mean_t, mean.transpose());
+        assert_eq!(*aggs.mean, mean);
+        assert_eq!(*aggs.gcn_t, gcn.transpose());
+        assert_eq!(*aggs.gcn, gcn);
     }
 
     #[test]
     fn repeated_fetch_hits_and_shares_the_allocation() {
-        let (g, _) = toy();
+        let (g, has) = toy();
         let cache = OpCache::new(&g);
         let first = cache.sym_norm_adj(&g);
         let second = cache.sym_norm_adj(&g);
         assert!(Rc::ptr_eq(&first, &second), "hit must share the Rc");
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 1));
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn restricted_and_transposed_variants_derive_from_cached_base() {
-        let (g, has) = toy();
-        let cache = OpCache::new(&g);
-        let rows = [3u32, 4];
-        let restricted = cache.get(&g, NormOp::MeanAttr, Some(&has), Some(&rows), false);
-        let want = norm::mean_attr_agg(&g, &has).restrict_rows(&rows);
-        assert_eq!(*restricted, want);
-        let transposed = cache.get(&g, NormOp::MeanAttr, Some(&has), Some(&rows), true);
-        assert_eq!(*transposed, want.transpose());
-        // Base, restricted, and restricted-transposed are three entries.
-        assert_eq!(cache.len(), 3);
-        // Re-fetching any of them is a pure hit.
-        let before = cache.stats();
-        cache.get(&g, NormOp::MeanAttr, Some(&has), Some(&rows), true);
-        let after = cache.stats();
-        assert_eq!(after.0, before.0 + 1);
-        assert_eq!(after.1, before.1);
+        let (a, b) = (cache.attr_aggs(&g, &has), cache.attr_aggs(&g, &has));
+        let pairs = [(a.mean, b.mean), (a.mean_t, b.mean_t), (a.gcn, b.gcn), (a.gcn_t, b.gcn_t)];
+        for (x, y) in &pairs {
+            assert!(Rc::ptr_eq(x, y), "hit must share every aggregator");
+        }
     }
 
     #[test]
     fn sym_norm_transpose_shares_the_symmetric_entry() {
+        // Â is symmetric, bit for bit, so the one entry also serves as its
+        // own transpose (the GCN layer passes it as both spmm operands).
         let (g, _) = toy();
-        let cache = OpCache::new(&g);
-        let a = cache.get(&g, NormOp::SymNorm, None, None, false);
-        let at = cache.get(&g, NormOp::SymNorm, None, None, true);
-        assert!(Rc::ptr_eq(&a, &at), "Â is symmetric; transpose shares the entry");
-        assert_eq!(*at, a.transpose());
+        let a = OpCache::new(&g).sym_norm_adj(&g);
+        assert_eq!(*a, a.transpose());
     }
 
     #[test]
@@ -268,10 +186,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "requires an attribute mask")]
-    fn masked_op_without_mask_is_rejected() {
-        let (g, _) = toy();
+    #[should_panic(expected = "attribute mask does not match")]
+    fn another_mask_is_rejected() {
+        let (g, has) = toy();
         let cache = OpCache::new(&g);
-        let _ = cache.get(&g, NormOp::MeanAttr, None, None, false);
+        let _ = cache.attr_aggs(&g, &has);
+        let _ = cache.attr_aggs(&g, &[true, true, false, false, false]);
     }
 }

@@ -230,7 +230,9 @@ impl HeteroGraph {
     pub fn undirected_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.num_nodes()];
         for (_, s, d) in self.all_edges() {
+            // analyze:allow(panic, node ids index per-node arrays of num_nodes entries; HeteroGraph::build range-checks every edge)
             deg[s as usize] += 1;
+            // analyze:allow(panic, node ids index per-node arrays of num_nodes entries; HeteroGraph::build range-checks every edge)
             deg[d as usize] += 1;
         }
         deg

@@ -16,6 +16,6 @@ pub mod shard;
 pub mod walk;
 
 pub use adjacency::Adjacency;
-pub use cache::OpCache;
+pub use cache::{AttrAggs, OpCache};
 pub use hetero::{EdgeType, EdgeTypeId, HeteroGraph, HeteroGraphBuilder, NodeTypeId};
 pub use shard::{Shard, ShardPlan, ShardStrategy};

@@ -8,7 +8,6 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 
 use crate::adjacency::Adjacency;
-use crate::hetero::NodeTypeId;
 
 /// Uniform random walks: at each step, jump to a uniformly random neighbor
 /// (any type). Walks stop early at isolated nodes.
@@ -27,44 +26,6 @@ pub fn uniform_walks(
             let mut cur = s as usize;
             for _ in 0..walk_len {
                 let nbrs = adj.neighbors(cur);
-                let Some(&next) = nbrs.choose(rng) else { break };
-                walk.push(next);
-                cur = next as usize;
-            }
-            walks.push(walk);
-        }
-    }
-    walks
-}
-
-/// Schema-guided (metapath2vec-style) walks: the node-type sequence cycles
-/// through `schema` (whose first type must match the start node's type and
-/// whose last type must equal its first, e.g. `M-A-M`). Walks stop early
-/// when no neighbor of the required type exists.
-pub fn schema_walks(
-    adj: &Adjacency,
-    schema: &[NodeTypeId],
-    starts: impl Iterator<Item = u32>,
-    walk_len: usize,
-    walks_per_node: usize,
-    rng: &mut impl Rng,
-) -> Vec<Vec<u32>> {
-    assert!(schema.len() >= 2, "schema_walks: schema too short");
-    assert_eq!(
-        schema.first(),
-        schema.last(),
-        "schema_walks: schema must be cyclic (first type == last type)"
-    );
-    let period = schema.len() - 1;
-    let mut walks = Vec::new();
-    for s in starts {
-        for _ in 0..walks_per_node {
-            let mut walk = Vec::with_capacity(walk_len + 1);
-            walk.push(s);
-            let mut cur = s as usize;
-            for step in 0..walk_len {
-                let want = schema[(step % period) + 1];
-                let nbrs = adj.typed_neighbors(cur, want);
                 let Some(&next) = nbrs.choose(rng) else { break };
                 walk.push(next);
                 cur = next as usize;
@@ -130,40 +91,17 @@ mod tests {
     }
 
     #[test]
-    fn schema_walks_alternate_types() {
-        let (g, adj) = toy();
-        let mut rng = StdRng::seed_from_u64(8);
-        let walks = schema_walks(
-            &adj,
-            &[0, 1, 0],
-            g.nodes_of_type(0).map(|v| v as u32),
-            8,
-            2,
-            &mut rng,
-        );
-        for w in &walks {
-            for (i, &v) in w.iter().enumerate() {
-                let want = if i % 2 == 0 { 0 } else { 1 };
-                assert_eq!(g.type_of(v as usize), want, "walk {w:?} step {i}");
-            }
-        }
-    }
-
-    #[test]
     fn walks_stop_at_dead_ends() {
-        // A graph where actors have no actor-typed neighbors: schema A-A-A
-        // yields length-1 walks.
-        let (g, adj) = toy();
+        // Movie 1 is isolated: its walks never leave the start node.
+        let mut b = HeteroGraph::builder();
+        let m = b.add_node_type("movie", 2);
+        let a = b.add_node_type("actor", 1);
+        let e = b.add_edge_type("m-a", m, a);
+        b.add_edge(e, 0, 2);
+        let adj = Adjacency::build(&b.build());
         let mut rng = StdRng::seed_from_u64(9);
-        let walks = schema_walks(
-            &adj,
-            &[1, 1, 1],
-            g.nodes_of_type(1).map(|v| v as u32),
-            5,
-            1,
-            &mut rng,
-        );
-        assert!(walks.iter().all(|w| w.len() == 1));
+        let walks = uniform_walks(&adj, [1u32].into_iter(), 5, 2, &mut rng);
+        assert_eq!(walks, vec![vec![1u32], vec![1]]);
     }
 
     #[test]

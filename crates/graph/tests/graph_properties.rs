@@ -3,6 +3,7 @@
 //! walk validity.
 
 use autoac_graph::{metapath::Metapath, norm, Adjacency, HeteroGraph};
+use autoac_tensor::Csr;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -92,14 +93,6 @@ proptest! {
     }
 
     #[test]
-    fn row_norm_rows_sum_to_one_or_zero(g in random_graph()) {
-        let a = norm::row_norm_adj(&g);
-        for s in a.row_sums() {
-            prop_assert!(s == 0.0 || (s - 1.0).abs() < 1e-5);
-        }
-    }
-
-    #[test]
     fn attr_agg_rows_only_reference_attributed(g in random_graph()) {
         // Type a attributed, type b missing.
         let mut has = vec![false; g.num_nodes()];
@@ -122,9 +115,20 @@ proptest! {
     // (See the module docs of `autoac_graph::norm`.)
 
     #[test]
-    fn row_norm_rows_sum_to_one_under_duplicate_edges(g in random_multigraph()) {
-        for s in norm::row_norm_adj(&g).row_sums() {
-            prop_assert!(s == 0.0 || (s - 1.0).abs() < 1e-5, "row sum {s}");
+    fn attr_aggs_are_the_missing_rows_of_the_full_operators(
+        g in random_multigraph(),
+        mask_bits in 0u32..1 << 14,
+    ) {
+        // A random mask over the (at most 14) nodes.
+        let has: Vec<bool> = (0..g.num_nodes()).map(|v| mask_bits >> v & 1 == 1).collect();
+        let missing: Vec<u32> = (0..g.num_nodes() as u32).filter(|&v| !has[v as usize]).collect();
+        let (mean, gcn) = full_rows_attr_aggs(&g, &has);
+        let pairs = [(norm::mean_attr_agg(&g, &has), mean), (norm::gcn_attr_agg(&g, &has), gcn)];
+        for (got, full) in &pairs {
+            prop_assert_eq!(csr_parts(got), csr_parts(&full.restrict_rows(&missing)));
+            for v in (0..g.num_nodes()).filter(|&v| has[v]) {
+                prop_assert_eq!(got.row_nnz(v), 0, "attributed row {v} is not empty");
+            }
         }
     }
 
@@ -226,11 +230,6 @@ fn regression_shrunk_cross_type_case() {
         assert!(dense.get(v, v) > 0.0, "missing self-loop at {v}");
     }
 
-    // Row normalization: rows sum to 1 (or 0 for isolated nodes).
-    for (r, s) in norm::row_norm_adj(&g).row_sums().iter().enumerate() {
-        assert!(*s == 0.0 || (s - 1.0).abs() < 1e-5, "row {r} sums to {s}");
-    }
-
     // Attribute aggregators only reference attributed neighbors.
     let mut has = vec![false; g.num_nodes()];
     for v in g.nodes_of_type(0) {
@@ -284,15 +283,15 @@ fn regression_duplicate_edge_weights_are_occurrence_counted() {
     // Degrees count occurrences: node 0 has degree 3, node 2 degree 2.
     assert_eq!(g.undirected_degrees(), vec![3, 0, 2, 1]);
 
-    // D⁻¹A row 0: the doubled edge carries 2/3, the single one 1/3.
-    let rn = norm::row_norm_adj(&g).to_dense();
-    assert!((rn.get(0, 2) - 2.0 / 3.0).abs() < 1e-6);
-    assert!((rn.get(0, 3) - 1.0 / 3.0).abs() < 1e-6);
-    assert!((rn.get(2, 0) - 1.0).abs() < 1e-6);
-
-    // Mean aggregation (movies attributed): actor 2's two occurrences both
-    // point at movie 0 and collapse to weight 1.
+    // GCN aggregation (movies attributed): actor 2's two occurrences of
+    // the edge to movie 0 sum to 2·(deg(2)·deg(0))^(-1/2), deg(2) = 2,
+    // deg(0) = 3.
     let has = vec![true, true, false, false];
+    let gcn = norm::gcn_attr_agg(&g, &has).to_dense();
+    assert!((gcn.get(2, 0) - 2.0 / (2.0f32 * 3.0).sqrt()).abs() < 1e-6);
+
+    // Mean aggregation: actor 2's two occurrences both point at movie 0
+    // and collapse to weight 1.
     let mean = norm::mean_attr_agg(&g, &has).to_dense();
     assert!((mean.get(2, 0) - 1.0).abs() < 1e-6);
     assert!((mean.get(3, 0) - 1.0).abs() < 1e-6);
@@ -314,4 +313,49 @@ fn walks_on_singleton_graph() {
     let walks = autoac_graph::walk::uniform_walks(&adj, 0..1u32, 5, 2, &mut rng);
     assert_eq!(walks.len(), 2);
     assert!(walks.iter().all(|w| w == &vec![0u32]));
+}
+
+/// The mean and GCN aggregators with a row at every node, attributed or
+/// not: the reference whose `V⁻` rows the norm builders must reproduce.
+fn full_rows_attr_aggs(g: &HeteroGraph, has: &[bool]) -> (Csr, Csr) {
+    let n = g.num_nodes();
+    let mut attr_deg = vec![0usize; n];
+    for (_, s, d) in g.all_edges() {
+        if has[d as usize] {
+            attr_deg[s as usize] += 1;
+        }
+        if has[s as usize] {
+            attr_deg[d as usize] += 1;
+        }
+    }
+    let inv_sqrt: Vec<f32> = g
+        .undirected_degrees()
+        .iter()
+        .map(|&d| if d > 0 { 1.0 / (d as f32).sqrt() } else { 0.0 })
+        .collect();
+    let directed = |w: &dyn Fn(u32, u32) -> f32| {
+        let triplets = g.all_edges().flat_map(|(_, s, d)| {
+            let fwd = has[d as usize].then(|| (s, d, w(s, d)));
+            let back = has[s as usize].then(|| (d, s, w(d, s)));
+            fwd.into_iter().chain(back)
+        });
+        Csr::from_coo(n, n, triplets)
+    };
+    let mean = directed(&|v, _| 1.0 / attr_deg[v as usize] as f32);
+    let gcn = directed(&|v, u| inv_sqrt[v as usize] * inv_sqrt[u as usize]);
+    (mean, gcn)
+}
+
+/// `indptr`, `indices` and the value bits of a CSR matrix.
+fn csr_parts(m: &Csr) -> (Vec<usize>, Vec<u32>, Vec<u32>) {
+    let mut indptr = vec![0];
+    let (mut indices, mut bits) = (Vec::new(), Vec::new());
+    for r in 0..m.n_rows() {
+        for (c, w) in m.row(r) {
+            indices.push(c);
+            bits.push(w.to_bits());
+        }
+        indptr.push(indices.len());
+    }
+    (indptr, indices, bits)
 }

@@ -316,16 +316,6 @@ impl Matrix {
         self.zip_apply_impl(other, "add_assign", |a, b| a + b);
     }
 
-    /// In-place scaled accumulation: `self += scale * other` (axpy).
-    pub fn add_scaled_assign(&mut self, other: &Matrix, scale: f32) {
-        self.zip_apply_impl(other, "add_scaled_assign", |a, b| a + scale * b);
-    }
-
-    /// In-place elementwise combine: `self[i] = f(self[i], other[i])`.
-    pub fn zip_apply(&mut self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) {
-        self.zip_apply_impl(other, "zip_apply", f);
-    }
-
     /// In-place scalar multiple.
     pub fn scale_assign(&mut self, s: f32) {
         self.map_assign(|a| a * s);
@@ -828,12 +818,6 @@ mod tests {
         c.add_assign(&b);
         assert_eq!(c, a.add(&b));
         let mut c = a.clone();
-        c.add_scaled_assign(&b, 0.5);
-        assert_eq!(c, a.add(&b.scale(0.5)));
-        let mut c = a.clone();
-        c.zip_apply(&b, |x, y| x * y);
-        assert_eq!(c, a.mul(&b));
-        let mut c = a.clone();
         c.add_row_vec_assign(&Matrix::from_rows(&[&[10.0, 20.0]]));
         assert_eq!(c, a.add_row_vec(&Matrix::from_rows(&[&[10.0, 20.0]])));
     }
@@ -991,8 +975,6 @@ mod tests {
         div_rejects_shape_mismatch: |a, b| a.div(&b);
         zip_map_rejects_shape_mismatch: |a, b| a.zip_map(&b, |x, y| x + y);
         add_assign_rejects_shape_mismatch: |a, b| a.add_assign(&b);
-        add_scaled_assign_rejects_shape_mismatch: |a, b| a.add_scaled_assign(&b, 0.5);
-        zip_apply_rejects_shape_mismatch: |a, b| a.zip_apply(&b, |x, y| x + y);
         rowwise_dot_rejects_shape_mismatch: |a, b| a.rowwise_dot(&b);
     }
 

@@ -205,14 +205,9 @@ impl Sgd {
 }
 
 impl Tensor {
-    /// Public gradient accumulation (optimizer internals and custom search
-    /// steps need to write gradients directly).
-    pub fn accum_grad_public(&self, g: &Matrix) {
-        self.accum_grad(g);
-    }
-
-    /// Owned variant of [`Tensor::accum_grad_public`]: moves the buffer into
-    /// an empty gradient slot instead of cloning it.
+    /// Public gradient accumulation (custom search steps write gradients
+    /// directly): moves the buffer into an empty gradient slot instead of
+    /// cloning it.
     pub fn accum_grad_public_owned(&self, g: Matrix) {
         self.accum_grad_owned(g);
     }
@@ -310,7 +305,7 @@ mod tests {
     fn clip_grad_norm_bounds_gradient() {
         let x = Tensor::param(Matrix::from_vec(1, 2, vec![0.0, 0.0]));
         let opt = Adam::new(vec![x.clone()], AdamConfig::default());
-        x.accum_grad_public(&Matrix::from_vec(1, 2, vec![3.0, 4.0]));
+        x.accum_grad_public_owned(Matrix::from_vec(1, 2, vec![3.0, 4.0]));
         let pre = opt.clip_grad_norm(1.0);
         assert!((pre - 5.0).abs() < 1e-6);
         let g = x.grad().unwrap();

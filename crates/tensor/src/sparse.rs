@@ -31,6 +31,7 @@ impl Csr {
         for (r, c, v) in triplets {
             assert!((r as usize) < n_rows, "from_coo: row {r} out of bounds");
             assert!((c as usize) < n_cols, "from_coo: col {c} out of bounds");
+            // analyze:allow(panic, r < n_rows is asserted above and rows has n_rows entries)
             rows[r as usize].push((c, v));
         }
         let mut indptr = Vec::with_capacity(n_rows + 1);
@@ -42,6 +43,7 @@ impl Csr {
             let mut last: Option<u32> = None;
             for &(c, v) in row.iter() {
                 if last == Some(c) {
+                    // analyze:allow(panic, last == Some(c) means this row already pushed a value)
                     *values.last_mut().expect("value present for duplicate") += v;
                 } else {
                     indices.push(c);
@@ -330,6 +332,15 @@ mod tests {
         let c = Csr::from_coo(2, 2, vec![(0, 0, 1.0), (0, 0, 2.5), (1, 1, 1.0)]);
         assert_eq!(c.nnz(), 2);
         assert_eq!(c.to_dense(), Matrix::from_rows(&[&[3.5, 0.0], &[0.0, 1.0]]));
+    }
+
+    #[test]
+    fn restrict_rows_empties_other_rows() {
+        let csr = Csr::from_coo(3, 3, vec![(0, 1, 1.0), (1, 2, 2.0), (2, 0, 3.0)]);
+        let r = csr.restrict_rows(&[1]);
+        assert_eq!(r.row_nnz(0), 0);
+        assert_eq!(r.row_nnz(1), 1);
+        assert_eq!(r.row_nnz(2), 0);
     }
 
     #[test]

@@ -22,7 +22,10 @@
 #    seeded bug class;
 #  - the observability pass (obs_smoke): the same short search + retrain
 #    with AUTOAC_OBS=0 and AUTOAC_OBS=1 must produce byte-identical result
-#    digests (instrumentation is read-only), and the enabled run must
+#    digests (instrumentation is read-only), the AUTOAC_OBS=0 digest must
+#    equal the committed results/obs_smoke_digest.json (the search and
+#    training trajectories are pinned bit for bit; re-baseline it only with
+#    a stated reason, as results/ANALYSIS.json), and the enabled run must
 #    export an OBS_smoke.jsonl that parses line by line and carries the
 #    promised span tree and trajectory series (the binary self-validates
 #    and exits non-zero on any miss);
@@ -115,11 +118,17 @@ echo "== observability pass (obs_smoke: bitwise identity + JSONL validation) =="
 OBS_SMOKE="./target/release/obs_smoke"
 OBS_ARGS=(--scale tiny --search-epochs 6 --epochs 6)
 AUTOAC_OBS=0 "$OBS_SMOKE" "${OBS_ARGS[@]}" --out "$WORK/obs_off.json"
+if ! diff results/obs_smoke_digest.json "$WORK/obs_off.json"; then
+  echo "verify.sh: FAIL — obs_smoke digest drifted from results/obs_smoke_digest.json."
+  echo "  If the change is intentional, re-baseline with a stated reason:"
+  echo "    ./target/release/obs_smoke ${OBS_ARGS[*]} --out results/obs_smoke_digest.json"
+  exit 1
+fi
 AUTOAC_OBS=1 "$OBS_SMOKE" "${OBS_ARGS[@]}" --out "$WORK/obs_on.json" --obs-dir "$WORK/obs" \
   || { echo "verify.sh: FAIL — obs export failed self-validation"; exit 1; }
 diff "$WORK/obs_off.json" "$WORK/obs_on.json" \
   || { echo "verify.sh: FAIL — AUTOAC_OBS=1 perturbed the training trajectory"; exit 1; }
-echo "   AUTOAC_OBS=1 digest is byte-identical to AUTOAC_OBS=0; OBS_smoke.jsonl validated"
+echo "   obs_smoke digest matches results/obs_smoke_digest.json, AUTOAC_OBS=1 is byte-identical to AUTOAC_OBS=0; OBS_smoke.jsonl validated"
 
 echo "== benchmark pass (benchmark/ unit tests + --smoke) =="
 # Its own target dir (gitignored): benchmark/ is a separate package.
