@@ -71,16 +71,16 @@ pub struct RunMeta {
     pub config_fp: u64,
     /// RNG seed of the run.
     pub seed: u64,
-    /// Fingerprint of the shard/segment plan the run trains over
-    /// (`autoac_graph::ShardPlan::fingerprint` mixed with the minibatch
-    /// schedule), or `0` for whole-graph full-batch runs. Resuming a
-    /// sharded run under a different partition or batch schedule would
-    /// silently diverge, so the plan is part of the identity.
+    /// Fingerprint of the minibatch schedule the run trains over
+    /// (`MinibatchConfig::segment_fp` in `autoac-core`), or `0` for
+    /// whole-graph full-batch runs. Resuming a run under a different batch
+    /// schedule would silently diverge, so the schedule is part of the
+    /// identity.
     pub segment_fp: u64,
 }
 
 impl RunMeta {
-    /// Whole-graph identity (no shard/segment plan).
+    /// Whole-graph identity (no batch schedule).
     pub fn whole_graph(kind: impl Into<String>, graph_fp: u64, config_fp: u64, seed: u64) -> Self {
         Self { kind: kind.into(), graph_fp, config_fp, seed, segment_fp: 0 }
     }
@@ -398,7 +398,7 @@ mod tests {
 
     #[test]
     fn segment_fp_defaults_to_whole_graph_when_absent() {
-        // A snapshot written without the segment field (pre-shard format)
+        // A snapshot written without the segment field (the older format)
         // reads back as segment_fp = 0, i.e. a whole-graph run.
         let mut snap = Snapshot::new();
         let m = meta();

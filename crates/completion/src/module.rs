@@ -215,10 +215,10 @@ mod tests {
 
     #[test]
     fn subgraph_mean_rows_of_core_nodes_are_exact() {
-        // Full graph: movies 0-2 attributed, actors 3-4 missing. The shard
-        // that owns actor 3 with its full 1-hop halo is {0, 1, 3}; the mean
-        // row of actor 3 computed on that subgraph must be bitwise the row
-        // computed on the whole graph.
+        // Full graph: movies 0-2 attributed, actors 3-4 missing. A sampled
+        // batch around actor 3 that keeps all its neighbors is {0, 1, 3};
+        // the mean row of actor 3 computed on that subgraph must be bitwise
+        // the row computed on the whole graph.
         let (ops, x0) = setup();
         let full = complete_assigned(&ops, &x0, &[CompletionOp::Mean, CompletionOp::Mean])
             .to_matrix();
@@ -241,7 +241,7 @@ mod tests {
             complete_assigned_in(&ops, &sub_ctx, &[0], &sub_x0, &[CompletionOp::Mean]).to_matrix();
         let got: Vec<u32> = out.row(2).iter().map(|v| v.to_bits()).collect();
         let want: Vec<u32> = full.row(3).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(got, want, "core mean row must be exact under core+halo sharding");
+        assert_eq!(got, want, "core mean row must be exact on a subgraph with its neighbors");
     }
 
     #[test]

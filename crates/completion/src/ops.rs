@@ -80,7 +80,7 @@ pub struct CompletionContext {
 impl CompletionContext {
     /// Builds all operators for a graph and attribute mask, each exactly
     /// once. This is the build of a graph that is used once (a sampled
-    /// batch or a shard); the result equals
+    /// batch); the result equals
     /// [`CompletionContext::build_cached`]'s bit for bit.
     pub fn build(graph: &HeteroGraph, has_attr: &[bool]) -> Self {
         let _obs = autoac_obs::span("completion_context");

@@ -239,16 +239,6 @@ impl Pipeline {
             Some(assign) => complete_assigned(&self.ops, &x0, &assign),
         }
     }
-
-    /// Replaces the completion mode (e.g. after a search).
-    pub fn set_mode(&mut self, mode: CompletionMode) {
-        self.mode = mode;
-    }
-
-    /// The current completion mode.
-    pub fn mode(&self) -> &CompletionMode {
-        &self.mode
-    }
 }
 
 impl ForwardPipe for Pipeline {
@@ -356,12 +346,12 @@ mod tests {
     fn params_depend_on_mode() {
         let data = tiny_imdb();
         let cfg = GnnConfig { in_dim: 8, out_dim: data.num_classes, ..Default::default() };
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut pipe =
-            Pipeline::new(&data, Backbone::Gcn, &cfg, CompletionMode::Zero, &mut rng);
-        let zero_params = pipe.params().len();
-        pipe.set_mode(CompletionMode::Single(CompletionOp::Mean));
-        let single_params = pipe.params().len();
+        let params = |mode| {
+            let mut rng = StdRng::seed_from_u64(3);
+            Pipeline::new(&data, Backbone::Gcn, &cfg, mode, &mut rng).params().len()
+        };
+        let zero_params = params(CompletionMode::Zero);
+        let single_params = params(CompletionMode::Single(CompletionOp::Mean));
         assert_eq!(single_params, zero_params + 1, "mean op adds one W");
     }
 

@@ -45,30 +45,13 @@ pub struct SampledBatch {
     pub graph: HeteroGraph,
 }
 
-impl SampledBatch {
-    /// Batch-local id of global node `v`, if selected.
-    pub fn sub_of(&self, v: u32) -> Option<usize> {
-        self.nodes.binary_search(&v).ok()
-    }
-
-    /// Global id of batch-local node `i`.
-    pub fn global_of(&self, i: usize) -> u32 {
-        self.nodes[i]
-    }
-
-    /// Gathers a per-node value vector of the parent graph into batch-local
-    /// order.
-    pub fn gather_values<T: Clone>(&self, parent: &[T]) -> Vec<T> {
-        self.nodes.iter().map(|&v| parent[v as usize].clone()).collect()
-    }
-}
-
 /// Neighbor sampler over one heterogeneous graph.
 ///
 /// Construction builds a per-node *source-incidence* index over the stored
 /// edges (node → the `(edge_type, dst)` pairs it sources), so extracting a
 /// batch's induced edge set costs `O(Σ out-degree of selected nodes)` — it
-/// never rescans the full edge list the way one-shot shard extraction does.
+/// never rescans the full edge list. [`NeighborSampler::sample`] is the one
+/// subgraph inducer of the crate.
 pub struct NeighborSampler {
     adj: Adjacency,
     inc_indptr: Vec<usize>,
@@ -326,8 +309,8 @@ mod tests {
         // Every induced edge corresponds to a stored parent edge of the
         // same type between the mapped endpoints.
         for (et, s, d) in batch.graph.all_edges() {
-            let gs = batch.global_of(s as usize);
-            let gd = batch.global_of(d as usize);
+            let gs = batch.nodes[s as usize];
+            let gd = batch.nodes[d as usize];
             assert!(
                 g.edges_of_type(et).contains(&(gs, gd)),
                 "edge ({gs},{gd}) of type {et} not in parent"

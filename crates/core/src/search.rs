@@ -255,7 +255,7 @@ pub(crate) enum Fill {
 
 /// What the search loop ([`run_search`]) needs from the graph it searches
 /// over: the whole graph ([`WholeGraph`]: any backbone, any
-/// [`SearchTask`]) or sampled or sharded batches
+/// [`SearchTask`]) or neighbor-sampled batches
 /// (`crate::minibatch::Batched`: GCN, classification).
 pub(crate) trait SearchSchedule {
     /// `|V⁻|`, the global missing-list length.

@@ -230,12 +230,9 @@ fn full_run_killed_mid_search_resumes_to_identical_metrics() {
     std::fs::remove_dir_all(&root).unwrap();
 }
 
-/// The two batched schedules: neighbor-sampled and sharded.
-fn minibatch_configs() -> [(&'static str, MinibatchConfig); 2] {
-    [
-        ("sampled", MinibatchConfig { batch_size: 24, fanout: Some(5), ..Default::default() }),
-        ("sharded", MinibatchConfig { shards: 3, ..Default::default() }),
-    ]
+/// The batched (neighbor-sampled) schedule.
+fn sampled() -> MinibatchConfig {
+    MinibatchConfig { batch_size: 24, fanout: Some(5), ..Default::default() }
 }
 
 fn run_search_minibatch(
@@ -268,44 +265,41 @@ fn train_minibatch(
 #[test]
 fn killed_minibatch_search_resumes_bit_identically() {
     let data = tiny_imdb();
-    for (name, mb) in minibatch_configs() {
-        let baseline = run_search_minibatch(&data, &mb, 8, None);
-        let root = ckpt_root(&format!("search-mb-{name}"));
-        let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
-        run_search_minibatch(&data, &mb, 5, Some(&policy));
-        let resumed = run_search_minibatch(&data, &mb, 8, Some(&policy));
-        assert_search_identical(&baseline, &resumed);
-        std::fs::remove_dir_all(&root).unwrap();
-    }
+    let mb = sampled();
+    let baseline = run_search_minibatch(&data, &mb, 8, None);
+    let root = ckpt_root("search-mb");
+    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    run_search_minibatch(&data, &mb, 5, Some(&policy));
+    let resumed = run_search_minibatch(&data, &mb, 8, Some(&policy));
+    assert_search_identical(&baseline, &resumed);
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
 fn killed_minibatch_training_resumes_bit_identically() {
     let data = tiny_imdb();
-    for (name, mb) in minibatch_configs() {
-        let baseline = train_minibatch(&data, &mb, 10, None);
-        let root = ckpt_root(&format!("train-mb-{name}"));
-        let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
-        train_minibatch(&data, &mb, 6, Some(&policy));
-        let resumed = train_minibatch(&data, &mb, 10, Some(&policy));
-        assert_eq!(baseline.macro_f1.to_bits(), resumed.macro_f1.to_bits(), "{name}: Macro-F1");
-        assert_eq!(baseline.micro_f1.to_bits(), resumed.micro_f1.to_bits(), "{name}: Micro-F1");
-        assert_eq!(baseline.epochs_run, resumed.epochs_run, "{name}: epochs run");
-        std::fs::remove_dir_all(&root).unwrap();
-    }
+    let mb = sampled();
+    let baseline = train_minibatch(&data, &mb, 10, None);
+    let root = ckpt_root("train-mb");
+    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    train_minibatch(&data, &mb, 6, Some(&policy));
+    let resumed = train_minibatch(&data, &mb, 10, Some(&policy));
+    assert_eq!(baseline.macro_f1.to_bits(), resumed.macro_f1.to_bits(), "Macro-F1");
+    assert_eq!(baseline.micro_f1.to_bits(), resumed.micro_f1.to_bits(), "Micro-F1");
+    assert_eq!(baseline.epochs_run, resumed.epochs_run, "epochs run");
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
 #[should_panic(expected = "refusing to resume: snapshot segment fingerprint")]
-fn resuming_with_a_different_shard_count_fails_loudly() {
+fn resuming_with_a_different_batch_size_fails_loudly() {
     let data = tiny_imdb();
-    let root = ckpt_root("shard-count");
+    let root = ckpt_root("batch-size");
     let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
-    let three = MinibatchConfig { shards: 3, ..Default::default() };
-    run_search_minibatch(&data, &three, 5, Some(&policy));
+    run_search_minibatch(&data, &sampled(), 5, Some(&policy));
 
-    // Same graph, config and seed, but the snapshots belong to a 3-shard
-    // schedule: a 4-shard rerun must refuse them.
-    let four = MinibatchConfig { shards: 4, ..three };
-    run_search_minibatch(&data, &four, 8, Some(&policy));
+    // Same graph, config and seed, but the snapshots belong to a schedule
+    // of 24-node batches: a rerun with 48-node batches must refuse them.
+    let wider = MinibatchConfig { batch_size: 48, ..sampled() };
+    run_search_minibatch(&data, &wider, 8, Some(&policy));
 }

@@ -63,10 +63,6 @@ fn sampled() -> MinibatchConfig {
     MinibatchConfig { batch_size: 24, fanout: Some(5), ..Default::default() }
 }
 
-fn sharded() -> MinibatchConfig {
-    MinibatchConfig { shards: 3, ..Default::default() }
-}
-
 fn f32s(fp: Fingerprint, xs: &[f32]) -> Fingerprint {
     xs.iter().fold(fp.u64(xs.len() as u64), |fp, &x| fp.f32(x))
 }
@@ -110,14 +106,14 @@ fn autoac_classification(backbone: Backbone) -> u64 {
     cls_fp(search_fp(Fingerprint::new(), &run.search), &run.outcome).finish()
 }
 
-fn minibatch_search(mb: &MinibatchConfig) -> u64 {
+fn minibatch_search() -> u64 {
     let data = tiny_imdb();
     let cache = OpCache::new(&data.graph);
     let out = search_minibatch(
         &data,
         &gnn(&data),
         &ac(ClusteringMode::GmoC, true),
-        mb,
+        &sampled(),
         7,
         &cache,
         None,
@@ -125,13 +121,13 @@ fn minibatch_search(mb: &MinibatchConfig) -> u64 {
     search_fp(Fingerprint::new(), &out).finish()
 }
 
-fn minibatch_training(mb: &MinibatchConfig) -> u64 {
+fn minibatch_training() -> u64 {
     let data = tiny_imdb();
     let mut rng = StdRng::seed_from_u64(8);
     let mode = CompletionMode::Single(CompletionOp::Mean);
     let pipe = MinibatchPipeline::new(&data, &gnn(&data), mode, &mut rng);
     let tc = TrainConfig { epochs: 10, patience: 3, ..Default::default() };
-    let out = train_node_classification_minibatch(&pipe, &data, &tc, mb, 8, None);
+    let out = train_node_classification_minibatch(&pipe, &data, &tc, &sampled(), 8, None);
     cls_fp(Fingerprint::new(), &out).finish()
 }
 
@@ -230,22 +226,12 @@ fn link_prediction_training() {
 
 #[test]
 fn sampled_search() {
-    assert_eq!(minibatch_search(&sampled()), 0x9986502edd7fd6dc);
-}
-
-#[test]
-fn sharded_search() {
-    assert_eq!(minibatch_search(&sharded()), 0x26f86ee02a8f59b2);
+    assert_eq!(minibatch_search(), 0x9986502edd7fd6dc);
 }
 
 #[test]
 fn sampled_training() {
-    assert_eq!(minibatch_training(&sampled()), 0xb50a028ceca1ca6d);
-}
-
-#[test]
-fn sharded_training() {
-    assert_eq!(minibatch_training(&sharded()), 0x113291862f641f21);
+    assert_eq!(minibatch_training(), 0xb50a028ceca1ca6d);
 }
 
 #[test]

@@ -126,7 +126,7 @@ fn batch_context_equals_the_cached_build() {
     let has_attr = data.has_attr();
     for &((seed, epoch, batch), _) in &PINNED {
         let b = sample(&data, &sampler, seed, epoch, batch);
-        let has_attr_sub = b.gather_values(&has_attr);
+        let has_attr_sub: Vec<bool> = b.nodes.iter().map(|&v| has_attr[v as usize]).collect();
         let direct = CompletionContext::build(&b.graph, &has_attr_sub);
         let cached = CompletionContext::build_cached(
             &b.graph,

@@ -15,7 +15,7 @@
 //! The companion [`DegreeProfile`] summarizes a generated (or any) graph's
 //! degree distribution — min/max/mean plus a maximum-likelihood power-law
 //! exponent estimate — and validates that the generator actually produced
-//! the heavy-tailed shape the sharding benchmarks assume.
+//! the heavy-tailed shape the sampled benchmark workload assumes.
 
 use autoac_graph::HeteroGraph;
 use autoac_tensor::Matrix;

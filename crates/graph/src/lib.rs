@@ -18,4 +18,4 @@ pub mod walk;
 pub use adjacency::Adjacency;
 pub use cache::{AttrAggs, OpCache};
 pub use hetero::{EdgeType, EdgeTypeId, HeteroGraph, HeteroGraphBuilder, NodeTypeId};
-pub use shard::{Shard, ShardPlan, ShardStrategy};
+pub use shard::ShardStrategy;

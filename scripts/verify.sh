@@ -33,7 +33,9 @@
 #    not a workspace member) is built into .bench_build, its unit tests
 #    run, and its --smoke run must report every workload correct with no
 #    failed operations — so a change to an API or obs record the
-#    benchmark reads fails here, not first in a benchmark run.
+#    benchmark reads fails here, not first in a benchmark run. Cargo
+#    rewrites benchmark/Cargo.lock when it builds the package, so the pass
+#    copies the file first and the EXIT trap restores it, on failure too.
 #
 # The test suites run under AUTOAC_SLOW_TESTS=1: the default (fast) test
 # profile shrinks end-to-end budgets for interactive iteration; verify is
@@ -131,6 +133,8 @@ diff "$WORK/obs_off.json" "$WORK/obs_on.json" \
 echo "   obs_smoke digest matches results/obs_smoke_digest.json, AUTOAC_OBS=1 is byte-identical to AUTOAC_OBS=0; OBS_smoke.jsonl validated"
 
 echo "== benchmark pass (benchmark/ unit tests + --smoke) =="
+cp benchmark/Cargo.lock "$WORK/benchmark.Cargo.lock"
+trap 'cp "$WORK/benchmark.Cargo.lock" benchmark/Cargo.lock; rm -rf "$WORK"' EXIT
 # Its own target dir (gitignored): benchmark/ is a separate package.
 CARGO_TARGET_DIR=.bench_build cargo test -q --release --offline \
   --manifest-path benchmark/Cargo.toml \
