@@ -1,11 +1,11 @@
 //! Shared diagnostics for every analysis in `autoac-check`.
 //!
-//! All four analyses (tape verifier, pool sanitizer frontend, race checker
-//! frontend, source lint) funnel their findings through [`Diagnostic`] and
-//! [`Report`], so new checks plug in without inventing another report
+//! Every analysis (tape verifier, pool sanitizer frontend, source lint,
+//! and the `--analyze` rules) funnels its findings through [`Diagnostic`]
+//! and [`Report`], so new checks plug in without inventing another report
 //! format. A [`Report`] renders both as human-readable text (one finding
 //! per line, `file:line`-style locations where applicable) and as a
-//! one-line JSON summary for CI tooling (`check_smoke`).
+//! one-line JSON summary for CI tooling (`autoac-lint --json`).
 
 use std::fmt;
 
@@ -16,8 +16,6 @@ pub enum Analysis {
     Tape,
     /// Pool provenance sanitizer (use-after-release / double-release).
     Pool,
-    /// Parallel-region race checker.
-    Race,
     /// Hand-rolled source lint.
     Lint,
     /// Panic-reachability over the serving-path call graph.
@@ -36,7 +34,6 @@ impl Analysis {
         match self {
             Analysis::Tape => "tape",
             Analysis::Pool => "pool",
-            Analysis::Race => "race",
             Analysis::Lint => "lint",
             Analysis::Panic => "panic",
             Analysis::Env => "env",
@@ -139,12 +136,11 @@ impl Report {
     pub fn json_summary(&self) -> String {
         let count = |a: Analysis| self.by_analysis(a).count();
         format!(
-            "{{\"inspected\":{},\"violations\":{},\"tape\":{},\"pool\":{},\"race\":{},\"lint\":{},\"panic\":{},\"env\":{},\"rng\":{},\"unsafe\":{}}}",
+            "{{\"inspected\":{},\"violations\":{},\"tape\":{},\"pool\":{},\"lint\":{},\"panic\":{},\"env\":{},\"rng\":{},\"unsafe\":{}}}",
             self.inspected,
             self.diagnostics.len(),
             count(Analysis::Tape),
             count(Analysis::Pool),
-            count(Analysis::Race),
             count(Analysis::Lint),
             count(Analysis::Panic),
             count(Analysis::Env),
@@ -165,7 +161,7 @@ mod tests {
         assert!(r.is_clean());
         assert_eq!(
             r.json_summary(),
-            "{\"inspected\":3,\"violations\":0,\"tape\":0,\"pool\":0,\"race\":0,\"lint\":0,\"panic\":0,\"env\":0,\"rng\":0,\"unsafe\":0}"
+            "{\"inspected\":3,\"violations\":0,\"tape\":0,\"pool\":0,\"lint\":0,\"panic\":0,\"env\":0,\"rng\":0,\"unsafe\":0}"
         );
         r.push(Diagnostic {
             analysis: Analysis::Tape,

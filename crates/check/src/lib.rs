@@ -1,6 +1,6 @@
 //! `autoac-check` — the checking layer for the AutoAC stack.
 //!
-//! Four cooperating analyses share one diagnostics/report module
+//! Three cooperating analyses share one diagnostics/report module
 //! ([`diag`]):
 //!
 //! 1. **Tape verifier** ([`tape`]) — walks the autograd graph *before*
@@ -11,15 +11,14 @@
 //!    `autoac_tensor::pool` (generation counters + canary words on pooled
 //!    buffers); this crate re-exports its capture API and exercises it in
 //!    integration tests.
-//! 3. **Parallel-region race checker** — lives in
-//!    `autoac_tensor::parallel::race` (declared row-range access sets per
-//!    scoped region); re-exported and exercised here.
-//! 4. **Source lint** ([`lint`]) — a hand-rolled scanner enforcing
+//! 3. **Source lint** ([`lint`]) — a hand-rolled scanner enforcing
 //!    project invariants over the crates' source text, driven by the
 //!    `autoac-lint` binary.
 //!
-//! All runtime analyses are gated on `AUTOAC_CHECK` (strictly parsed; see
-//! `autoac_tensor::chk`) and cost nothing when disabled.
+//! The two runtime analyses (1 and 2) are gated on `AUTOAC_CHECK`
+//! (strictly parsed; see `autoac_tensor::chk`) and cost nothing when
+//! disabled. Parallel kernels need none: `for_each_row_chunk` gives each
+//! worker a disjoint `split_at_mut` slice of one row partition.
 
 #![warn(missing_docs)]
 
@@ -30,7 +29,6 @@ pub mod tape;
 
 pub use diag::{Analysis, Diagnostic, Report};
 
-// Runtime-sanitizer capture APIs, re-exported so downstream tests depend
+// The pool sanitizer's capture API, re-exported so downstream tests depend
 // only on autoac-check for the whole checking surface.
-pub use autoac_tensor::parallel::race::{capture_race_violations, RaceViolation};
 pub use autoac_tensor::pool::{capture_pool_violations, PoolViolation, PoolViolationKind};

@@ -245,7 +245,7 @@ fn shape_rule(op: &str, out: Shape, ps: &[Shape]) -> Result<(), String> {
             Ok(())
         }
         // Scalar-valued reductions and losses.
-        "sum" | "nll_loss_rows" | "multilabel_bce_rows" => {
+        "sum" | "nll_loss_rows" => {
             arity(1)?;
             if out != (1, 1) {
                 return Err(format!("scalar output must be 1x1, recorded {}x{}", out.0, out.1));

@@ -1,10 +1,10 @@
-//! Integration tests for the runtime sanitizers re-exported by
-//! `autoac-check`: the pool provenance sanitizer and the parallel-region
-//! race checker. Each seeded bug must be caught deterministically, and a
-//! clean workload must produce zero findings.
+//! Integration tests for the runtime sanitizer re-exported by
+//! `autoac-check`: the pool provenance sanitizer. Each seeded bug must be
+//! caught deterministically, and a clean workload must produce zero
+//! findings.
 
-use autoac_check::{capture_pool_violations, capture_race_violations, PoolViolationKind};
-use autoac_tensor::parallel::{self, race};
+use autoac_check::{capture_pool_violations, PoolViolationKind};
+use autoac_tensor::parallel;
 use autoac_tensor::{chk, pool, Matrix, Tensor};
 
 #[test]
@@ -49,56 +49,23 @@ fn clean_training_step_produces_zero_sanitizer_findings() {
         chk::with_check(true, || {
             pool::trim();
             let ((), pool_violations) = capture_pool_violations(|| {
-                let ((), race_violations) = capture_race_violations(|| {
-                    // A realistic mini training step: forward, backward,
-                    // parallel kernel work — all recycling through the pool.
-                    for step in 0..5 {
-                        let x = Tensor::new(Matrix::ones(16, 8), true);
-                        let w = Tensor::new(Matrix::ones(8, 4), true);
-                        let loss = x.matmul(&w).relu().sum();
-                        loss.backward();
-                        let mut buf = vec![0.0f32; 64 * 4];
-                        parallel::for_each_row_chunk(&mut buf, 4, 64, |start, rows| {
-                            for (i, row) in rows.chunks_mut(4).enumerate() {
-                                row[0] = (start + i + step) as f32;
-                            }
-                        });
-                    }
-                });
-                assert!(race_violations.is_empty(), "{race_violations:?}");
+                // A realistic mini training step: forward, backward,
+                // parallel kernel work — all recycling through the pool.
+                for step in 0..5 {
+                    let x = Tensor::new(Matrix::ones(16, 8), true);
+                    let w = Tensor::new(Matrix::ones(8, 4), true);
+                    let loss = x.matmul(&w).relu().sum();
+                    loss.backward();
+                    let mut buf = vec![0.0f32; 64 * 4];
+                    parallel::for_each_row_chunk(&mut buf, 4, 64, |start, rows| {
+                        for (i, row) in rows.chunks_mut(4).enumerate() {
+                            row[0] = (start + i + step) as f32;
+                        }
+                    });
+                }
             });
             pool::trim();
             assert!(pool_violations.is_empty(), "{pool_violations:?}");
         })
-    });
-}
-
-#[test]
-fn seeded_racy_kernel_is_flagged_with_kernel_op_name() {
-    chk::with_check(true, || {
-        let _op = chk::op_scope("seeded_racy_kernel");
-        let (_, violations) = capture_race_violations(|| {
-            // A kernel that *plans* overlapping row ranges across workers.
-            // The region records the declared partition; execution stays
-            // serial so the test itself is safe.
-            let region = race::Region::new("seeded_region").expect("checks enabled");
-            let buf = 0xBEEF_usize;
-            region.record(0, buf, 0..8, race::AccessKind::Write);
-            region.record(1, buf, 6..12, race::AccessKind::Write);
-            region.record(2, buf, 20..30, race::AccessKind::Read); // disjoint: fine
-            region.finish();
-        });
-        assert_eq!(violations.len(), 1, "{violations:?}");
-        let v = &violations[0];
-        assert_eq!(v.region, "seeded_region");
-        assert_eq!(v.op, "seeded_racy_kernel");
-        assert!(v.to_string().contains("overlap"), "{v}");
-    });
-}
-
-#[test]
-fn race_checker_costs_nothing_when_disabled() {
-    chk::with_check(false, || {
-        assert!(race::Region::new("off").is_none());
     });
 }

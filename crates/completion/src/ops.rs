@@ -170,22 +170,11 @@ impl CompletionOps {
         &self.identity
     }
 
-    /// Evaluates one op for all `V⁻` nodes: returns `(N⁻, d)`.
-    ///
-    /// `x0` is the `(N, d)` projected attribute block with zero rows at
-    /// missing nodes.
-    pub fn op_output(&self, op: CompletionOp, x0: &Tensor) -> Tensor {
-        self.op_output_in(&self.ctx, &self.identity, op, x0)
-    }
-
-    /// All four op outputs in [`CompletionOp::ALL`] order.
-    pub fn all_op_outputs(&self, x0: &Tensor) -> Vec<Tensor> {
-        self.all_op_outputs_in(&self.ctx, &self.identity, x0)
-    }
-
-    /// Evaluates one op against an *external* context — the minibatch path
-    /// builds a [`CompletionContext`] over a sampled subgraph and reuses
-    /// this instance's trainable parameters on it.
+    /// Evaluates one op at every missing node of `ctx`: returns
+    /// `(ctx.num_missing(), d)`. [`Self::ctx`] with [`Self::identity_rows`]
+    /// is this instance's own graph; the minibatch path builds a
+    /// [`CompletionContext`] over a sampled subgraph and reuses this
+    /// instance's trainable parameters on it.
     ///
     /// `ctx` indexes nodes in its own (subgraph-local) id space; `x0` is the
     /// `(n_sub, d)` projected block of the subgraph. `onehot_rows[i]` maps
@@ -207,8 +196,7 @@ impl CompletionOps {
         self.op_rows(ctx, op, x0, &ctx.missing, onehot_rows)
     }
 
-    /// All four op outputs against an external context, in
-    /// [`CompletionOp::ALL`] order.
+    /// All four op outputs against `ctx`, in [`CompletionOp::ALL`] order.
     pub fn all_op_outputs_in(
         &self,
         ctx: &CompletionContext,
@@ -332,7 +320,9 @@ mod tests {
             &[0.0, 0.0],
             &[0.0, 0.0],
         ]));
-        let out = ops.op_output(CompletionOp::Mean, &x0).to_matrix();
+        let out = ops
+            .op_output_in(ops.ctx(), ops.identity_rows(), CompletionOp::Mean, &x0)
+            .to_matrix();
         // Node 3's attributed neighbors: movies 0, 1 → mean (2, 1).
         assert_eq!(out.row(0), &[2.0, 1.0]);
         // Node 4: movie 2 only.
@@ -346,7 +336,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let ops = CompletionOps::new(ctx, 4, &mut rng);
         let x0 = Tensor::constant(Matrix::ones(5, 4));
-        for out in ops.all_op_outputs(&x0) {
+        for out in ops.all_op_outputs_in(ops.ctx(), ops.identity_rows(), &x0) {
             assert_eq!(out.shape(), (2, 4));
         }
         assert_eq!(ops.params().len(), 4);
@@ -358,8 +348,11 @@ mod tests {
         let ctx = CompletionContext::build(&g, &has);
         let mut rng = StdRng::seed_from_u64(2);
         let ops = CompletionOps::new(ctx, 4, &mut rng);
-        let a = ops.op_output(CompletionOp::OneHot, &Tensor::constant(Matrix::ones(5, 4)));
-        let b = ops.op_output(CompletionOp::OneHot, &Tensor::constant(Matrix::zeros(5, 4)));
+        let onehot = |x0: Matrix| {
+            let x0 = Tensor::constant(x0);
+            ops.op_output_in(ops.ctx(), ops.identity_rows(), CompletionOp::OneHot, &x0)
+        };
+        let (a, b) = (onehot(Matrix::ones(5, 4)), onehot(Matrix::zeros(5, 4)));
         assert_eq!(a.to_matrix(), b.to_matrix());
     }
 
@@ -383,8 +376,8 @@ mod tests {
         ops.w_mean.w.set_value(Matrix::eye(1));
         ops.w_ppnp.w.set_value(Matrix::eye(1));
         let x0 = Tensor::constant(Matrix::from_rows(&[&[1.0], &[0.0], &[0.0]]));
-        let mean = ops.op_output(CompletionOp::Mean, &x0).to_matrix();
-        let ppnp = ops.op_output(CompletionOp::Ppnp, &x0).to_matrix();
+        let own = |op| ops.op_output_in(ops.ctx(), ops.identity_rows(), op, &x0).to_matrix();
+        let (mean, ppnp) = (own(CompletionOp::Mean), own(CompletionOp::Ppnp));
         // Node 2 (second missing row): no attributed 1-hop neighbor.
         assert_eq!(mean.get(1, 0), 0.0);
         assert!(ppnp.get(1, 0) > 0.0, "PPNP must reach 2-hop signal");
@@ -397,7 +390,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let ops = CompletionOps::new(ctx, 3, &mut rng);
         let x0 = Tensor::constant(Matrix::ones(5, 3));
-        let outs = ops.all_op_outputs(&x0);
+        let outs = ops.all_op_outputs_in(ops.ctx(), ops.identity_rows(), &x0);
         let mut loss = outs[0].sum();
         for o in &outs[1..] {
             loss = loss.add(&o.sum());

@@ -2,14 +2,13 @@
 //! retraining loops, for graphs two orders of magnitude beyond the
 //! full-batch path.
 //!
-//! With `batch_size > 0`, every epoch shuffles the train split, cuts it
-//! into cores of `batch_size` nodes, and expands each core with the
-//! deterministic [`NeighborSampler`](crate::sampler::NeighborSampler). It
-//! runs on the one training loop and the one search loop the whole-graph
-//! path uses. The degenerate configuration
-//! ([`MinibatchConfig::full_batch`]) routes to the whole-graph functions,
-//! so its results are bitwise identical to the classic pipeline by
-//! construction — the CI digest check relies on this.
+//! Every epoch shuffles the train split, cuts it into cores of
+//! `batch_size` nodes, and expands each core with the deterministic
+//! [`NeighborSampler`](crate::sampler::NeighborSampler). It runs on the one
+//! training loop and the one search loop the whole-graph path uses. Both
+//! entry points refuse `batch_size == 0`: whole-graph runs call
+//! [`train_node_classification_checkpointed`](crate::train_node_classification_checkpointed)
+//! and [`search_checkpointed`](crate::search_checkpointed) directly.
 //!
 //! Checkpoints written by the minibatch loops carry a non-zero
 //! `RunMeta::segment_fp` (a hash of the schedule), so resuming a run
@@ -31,16 +30,10 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::cluster::ModularityContext;
-use crate::pipeline::{Backbone, CompletionMode, ForwardPipe};
+use crate::pipeline::{CompletionMode, ForwardPipe};
 use crate::sampler::{batch_rng, NeighborSampler, SampledBatch};
-use crate::search::{
-    run_search, search_checkpointed, AutoAcConfig, ClassificationTask, ClusteringMode, Fill,
-    SearchOutcome, SearchSchedule,
-};
-use crate::trainer::{
-    descend, eval_classification, f1_score, fit, train_node_classification_checkpointed,
-    ClsOutcome, TrainConfig,
-};
+use crate::search::{run_search, AutoAcConfig, ClusteringMode, Fill, SearchOutcome, SearchSchedule};
+use crate::trainer::{descend, eval_classification, f1_score, fit, ClsOutcome, TrainConfig};
 
 /// Reserved `batch` coordinate for per-epoch schedule shuffles (never
 /// collides with real batch indices).
@@ -51,7 +44,8 @@ const VAL_DRAW: u64 = u64::MAX;
 /// Minibatch schedule configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct MinibatchConfig {
-    /// Core nodes per sampled batch; `0` disables the sampled schedule.
+    /// Core nodes per sampled batch, at least 1: both entry points refuse
+    /// the default `0`.
     pub batch_size: usize,
     /// Per-node neighbor cap per expansion hop (`None` = all neighbors).
     pub fanout: Option<usize>,
@@ -83,36 +77,29 @@ impl Default for MinibatchConfig {
 }
 
 impl MinibatchConfig {
-    /// The degenerate configuration: full-batch training, bitwise identical
-    /// to the legacy pipeline.
-    pub fn full_batch() -> Self {
-        Self::default()
-    }
-
-    /// True when this configuration routes to the legacy full-batch path.
-    pub fn is_full_batch(&self) -> bool {
-        self.batch_size == 0
-    }
-
-    /// Panics on `shards ≥ 2`, which selected the deleted shard schedule:
-    /// running another schedule in its place would be silent.
-    fn refuse_shards(&self) {
+    /// Panics before anything runs in place of what `self` asks for:
+    /// `shards ≥ 2` selected the deleted shard schedule, and
+    /// `batch_size == 0` samples no batch (the message names `whole_graph`,
+    /// the function that trains on the whole graph).
+    fn refuse_unsampled(&self, whole_graph: &str) {
         assert!(
             self.shards <= 1,
             "MinibatchConfig: shards = {} selects the shard schedule, which was deleted; \
              use batch_size (neighbor sampling) or shards <= 1",
             self.shards
         );
+        assert!(
+            self.batch_size > 0,
+            "MinibatchConfig: batch_size = 0 samples no batch; call {whole_graph} to train on \
+             the whole graph"
+        );
     }
 
-    /// Segment fingerprint recorded in checkpoints: `0` for the full-batch
-    /// degenerate config (whole-graph identity), otherwise a hash of every
-    /// schedule-shaping field. The last word stood for the shard plan's
-    /// fingerprint and is 0, so values written so far still match.
+    /// Segment fingerprint recorded in checkpoints (whole-graph runs record
+    /// `0`): a hash of every schedule-shaping field. The last word stood for
+    /// the shard plan's fingerprint and is 0, so values written so far still
+    /// match.
     pub fn segment_fp(&self) -> u64 {
-        if self.is_full_batch() {
-            return 0;
-        }
         Fingerprint::new()
             .u64(self.batch_size as u64)
             .u64(self.fanout.map_or(0, |f| f as u64 + 1))
@@ -262,7 +249,6 @@ impl<'a> Schedule<'a> {
         mb: &MinibatchConfig,
         seed: u64,
     ) -> Self {
-        assert!(mb.batch_size > 0, "minibatch config is full-batch");
         let n = data.graph.num_nodes();
         let mut s = Schedule {
             pipe,
@@ -356,12 +342,11 @@ impl<'a> Schedule<'a> {
 
 /// Minibatch node-classification training.
 ///
-/// With a full-batch [`MinibatchConfig`] this *is*
-/// [`train_node_classification_checkpointed`] — same code path, bitwise
-/// identical results. Otherwise each epoch steps through the schedule's
-/// batches, early-stops on (approximate) validation Micro-F1, and the run
-/// finishes with an **exact** whole-graph test evaluation. Panics on
-/// `shards ≥ 2` (the deleted shard schedule).
+/// Each epoch steps through the schedule's batches, early-stops on
+/// (approximate) validation Micro-F1, and the run finishes with an
+/// **exact** whole-graph test evaluation. Panics on `batch_size == 0`
+/// (call [`train_node_classification_checkpointed`](crate::train_node_classification_checkpointed)
+/// instead) and on `shards ≥ 2` (the deleted shard schedule).
 pub fn train_node_classification_minibatch(
     pipe: &MinibatchPipeline,
     data: &Dataset,
@@ -370,10 +355,7 @@ pub fn train_node_classification_minibatch(
     seed: u64,
     policy: Option<&CheckpointPolicy>,
 ) -> ClsOutcome {
-    mb.refuse_shards();
-    if mb.is_full_batch() {
-        return train_node_classification_checkpointed(pipe, data, cfg, seed, policy);
-    }
+    mb.refuse_unsampled("train_node_classification_checkpointed");
     assert!(data.num_classes > 0, "dataset has no classification task");
     let mut rng = StdRng::seed_from_u64(seed);
     let schedule = Schedule::new(pipe, data, mb, seed);
@@ -496,11 +478,12 @@ impl SearchSchedule for Batched<'_> {
     }
 }
 
-/// Minibatch AutoAC search (classification) on the one search loop.
-/// Full-batch configs route to the whole-graph [`search_checkpointed`];
-/// sampled configs run one α step (on a val-cored batch) and one ω step
-/// (on a train-cored batch) per epoch, rotating through the schedule.
-/// Panics on `shards ≥ 2` (the deleted shard schedule).
+/// Minibatch AutoAC search (classification) on the one search loop: one α
+/// step (on a val-cored batch) and one ω step (on a train-cored batch) per
+/// epoch, rotating through the schedule. Panics on `batch_size == 0` (call
+/// [`search_checkpointed`](crate::search_checkpointed) with
+/// [`Backbone::Gcn`](crate::Backbone::Gcn) instead) and on `shards ≥ 2` (the
+/// deleted shard schedule).
 ///
 /// Supported clustering modes: [`ClusteringMode::GmoC`] (modularity built
 /// over the batch subgraph; cluster ids refreshed incrementally for the
@@ -516,11 +499,7 @@ pub fn search_minibatch(
     cache: &OpCache,
     policy: Option<&CheckpointPolicy>,
 ) -> SearchOutcome {
-    mb.refuse_shards();
-    if mb.is_full_batch() {
-        let task = ClassificationTask::new(data);
-        return search_checkpointed(data, Backbone::Gcn, gnn_cfg, ac, &task, seed, cache, policy);
-    }
+    mb.refuse_unsampled("search_checkpointed with Backbone::Gcn");
     assert!(
         matches!(ac.clustering, ClusteringMode::GmoC | ClusteringMode::NoCluster),
         "search_minibatch supports GmoC and NoCluster clustering only"
@@ -563,16 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_fp_is_zero_only_for_full_batch() {
-        let full = MinibatchConfig::full_batch();
-        assert!(full.is_full_batch());
-        assert_eq!(full.segment_fp(), 0);
-        let sampled = MinibatchConfig { batch_size: 64, ..Default::default() };
-        assert!(!sampled.is_full_batch());
-        assert_ne!(sampled.segment_fp(), 0);
-    }
-
-    #[test]
     fn segment_fp_values_are_pinned() {
         // Checkpoints store these values, so a resume across versions
         // needs them unchanged: the benchmark's `sampled-50k` schedule and
@@ -609,7 +578,26 @@ mod tests {
     }
 
     #[test]
-    fn full_batch_config_is_bitwise_identical_to_legacy_pipeline() {
+    #[should_panic(expected = "samples no batch; call search_checkpointed")]
+    fn search_minibatch_refuses_batch_size_zero() {
+        let data = tiny();
+        let cache = OpCache::new(&data.graph);
+        let mb = MinibatchConfig::default();
+        search_minibatch(&data, &cfg(&data), &AutoAcConfig::default(), &mb, 0, &cache, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "samples no batch; call train_node_classification_checkpointed")]
+    fn minibatch_training_refuses_batch_size_zero() {
+        let data = tiny();
+        let mut rng = StdRng::seed_from_u64(0);
+        let pipe = MinibatchPipeline::new(&data, &cfg(&data), CompletionMode::Zero, &mut rng);
+        let mb = MinibatchConfig::default();
+        train_node_classification_minibatch(&pipe, &data, &TrainConfig::default(), &mb, 0, None);
+    }
+
+    #[test]
+    fn minibatch_pipeline_is_bitwise_identical_to_legacy_pipeline() {
         // Two inputs: tiny IMDB with mean completion, and a 2,000-node
         // power-law `generate_scale` graph with zero-filled attributes.
         let imdb = tiny();
@@ -636,10 +624,11 @@ mod tests {
             let legacy = Pipeline::new(data, Backbone::Gcn, &gnn, mode.clone(), &mut rng);
             let a = crate::trainer::train_node_classification(&legacy, data, &tc, seed);
 
+            // Whole-graph training of the minibatch pipeline: the forward
+            // its exact test evaluation runs after sampled training.
             let mut rng = StdRng::seed_from_u64(build_seed);
             let mbp = MinibatchPipeline::new(data, &gnn, mode, &mut rng);
-            let full = MinibatchConfig::full_batch();
-            let b = train_node_classification_minibatch(&mbp, data, &tc, &full, seed, None);
+            let b = crate::trainer::train_node_classification(&mbp, data, &tc, seed);
             let what = data.name.as_str();
             assert_eq!(a.micro_f1.to_bits(), b.micro_f1.to_bits(), "{what}: micro-F1");
             assert_eq!(a.macro_f1.to_bits(), b.macro_f1.to_bits(), "{what}: macro-F1");

@@ -54,11 +54,21 @@ fn small_ac() -> AutoAcConfig {
     }
 }
 
-/// Fresh unique checkpoint root for one test; removed by the caller.
-fn ckpt_root(test: &str) -> PathBuf {
+/// A test's checkpoint root, removed on drop, so a test that panics (as
+/// the `fails_loudly` ones do by design) leaves nothing behind either.
+struct CkptRoot(PathBuf);
+
+impl Drop for CkptRoot {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Fresh unique checkpoint root for one test.
+fn ckpt_root(test: &str) -> CkptRoot {
     let root = std::env::temp_dir().join(format!("autoac-resume-{test}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
-    root
+    CkptRoot(root)
 }
 
 fn bits32(xs: &[f32]) -> Vec<u32> {
@@ -99,7 +109,7 @@ fn killed_search_resumes_bit_identically() {
     // with the full budget: the rerun must fast-forward to epoch 4 and land
     // on exactly the baseline's bits.
     let root = ckpt_root("search");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     run_search(&data, 5, Some(&policy));
     let resumed = run_search(&data, 8, Some(&policy));
     assert_search_identical(&baseline, &resumed);
@@ -108,7 +118,6 @@ fn killed_search_resumes_bit_identically() {
     // full budget replays nothing and still reports the same outcome.
     let rerun = run_search(&data, 8, Some(&policy));
     assert_search_identical(&baseline, &rerun);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -117,13 +126,13 @@ fn corrupted_latest_snapshot_falls_back_to_previous_good_one() {
     let baseline = run_search(&data, 8, None);
 
     let root = ckpt_root("corrupt");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     run_search(&data, 5, Some(&policy));
 
     // Flip the last byte of the newest snapshot (epoch 4): that is inside
     // the final section's CRC, so the file must now fail its integrity
     // check...
-    let latest = root.join("ckpt-000004.bin");
+    let latest = root.0.join("ckpt-000004.bin");
     let mut bytes = std::fs::read(&latest).unwrap();
     let n = bytes.len();
     bytes[n - 1] ^= 0xFF;
@@ -137,7 +146,6 @@ fn corrupted_latest_snapshot_falls_back_to_previous_good_one() {
     // epochs 2..8, and still match the uninterrupted run bit for bit.
     let resumed = run_search(&data, 8, Some(&policy));
     assert_search_identical(&baseline, &resumed);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -145,7 +153,7 @@ fn corrupted_latest_snapshot_falls_back_to_previous_good_one() {
 fn resuming_with_a_different_config_fails_loudly() {
     let data = tiny_imdb();
     let root = ckpt_root("mismatch");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     run_search(&data, 5, Some(&policy));
 
     // Same snapshots, different λ: the trajectory the snapshots belong to
@@ -172,7 +180,7 @@ fn killed_retraining_resumes_bit_identically() {
     let baseline = train_node_classification(&pipe(&data), &data, &tc, SEED);
 
     let root = ckpt_root("train");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     let truncated = TrainConfig { epochs: 6, ..tc };
     train_node_classification_checkpointed(&pipe(&data), &data, &truncated, SEED, Some(&policy));
     let resumed =
@@ -181,7 +189,6 @@ fn killed_retraining_resumes_bit_identically() {
     assert_eq!(baseline.macro_f1.to_bits(), resumed.macro_f1.to_bits(), "Macro-F1 diverged");
     assert_eq!(baseline.micro_f1.to_bits(), resumed.micro_f1.to_bits(), "Micro-F1 diverged");
     assert_eq!(baseline.epochs_run, resumed.epochs_run);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -194,7 +201,7 @@ fn full_run_killed_mid_search_resumes_to_identical_metrics() {
     // Crash during the search stage of a full AutoAC run: only the search
     // substage has snapshots on disk; retraining never started.
     let root = ckpt_root("full");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     {
         let mut trunc = ac;
         trunc.search_epochs = 5;
@@ -227,7 +234,6 @@ fn full_run_killed_mid_search_resumes_to_identical_metrics() {
         "Micro-F1 diverged"
     );
     assert_eq!(baseline.outcome.epochs_run, resumed.outcome.epochs_run);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The batched (neighbor-sampled) schedule.
@@ -268,11 +274,10 @@ fn killed_minibatch_search_resumes_bit_identically() {
     let mb = sampled();
     let baseline = run_search_minibatch(&data, &mb, 8, None);
     let root = ckpt_root("search-mb");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     run_search_minibatch(&data, &mb, 5, Some(&policy));
     let resumed = run_search_minibatch(&data, &mb, 8, Some(&policy));
     assert_search_identical(&baseline, &resumed);
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -281,13 +286,12 @@ fn killed_minibatch_training_resumes_bit_identically() {
     let mb = sampled();
     let baseline = train_minibatch(&data, &mb, 10, None);
     let root = ckpt_root("train-mb");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     train_minibatch(&data, &mb, 6, Some(&policy));
     let resumed = train_minibatch(&data, &mb, 10, Some(&policy));
     assert_eq!(baseline.macro_f1.to_bits(), resumed.macro_f1.to_bits(), "Macro-F1");
     assert_eq!(baseline.micro_f1.to_bits(), resumed.micro_f1.to_bits(), "Micro-F1");
     assert_eq!(baseline.epochs_run, resumed.epochs_run, "epochs run");
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 #[test]
@@ -295,7 +299,7 @@ fn killed_minibatch_training_resumes_bit_identically() {
 fn resuming_with_a_different_batch_size_fails_loudly() {
     let data = tiny_imdb();
     let root = ckpt_root("batch-size");
-    let policy = CheckpointPolicy::new(&root).checkpoint_every(2);
+    let policy = CheckpointPolicy::new(&root.0).checkpoint_every(2);
     run_search_minibatch(&data, &sampled(), 5, Some(&policy));
 
     // Same graph, config and seed, but the snapshots belong to a schedule

@@ -8,11 +8,9 @@
 #![warn(missing_docs)]
 
 mod metrics;
-mod multilabel;
 mod stats;
 
 pub use metrics::{argmax_predictions, f1_scores, mrr, roc_auc, F1Scores};
-pub use multilabel::multilabel_f1;
 pub use stats::{
     ln_gamma, mean, mean_std_pct, reg_inc_beta, std_dev, student_t_cdf, welch_t_test, TTest,
 };

@@ -6,7 +6,7 @@
 //!
 //! Three pieces:
 //!
-//! 1. **Hierarchical spans** ([`span`], [`span!`]) — RAII guards with
+//! 1. **Hierarchical spans** ([`span`]) — RAII guards with
 //!    monotonic timing and thread-aware nesting. Kernel launchers capture
 //!    [`current_path`] and workers [`adopt`] it, so worker-side spans nest
 //!    under the launching call site. Aggregated online per distinct path:
@@ -47,15 +47,6 @@ pub use metrics::{
 pub use report::{ObsReport, SpanStat};
 pub use slo::{SloConfig, SloEngine, SloStatus, WindowStat};
 pub use span::{adopt, current_path, now_ns, span, AdoptGuard, SpanGuard, SpanPath};
-
-/// Opens a span: `let _g = span!("epoch");`. Thin macro alias for the
-/// [`span`] function, for call sites that prefer the macro form.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span($name)
-    };
-}
 
 /// Flushes the calling thread's buffers and removes all accumulated
 /// observability state from the process, returning it as an [`ObsReport`].
@@ -140,8 +131,8 @@ mod tests {
         let _ = drain();
         with_obs(true, || {
             {
-                let _s = span!("search");
-                let _e = span!("epoch");
+                let _s = span("search");
+                let _e = span("epoch");
                 series("val_loss", 0, 0.5);
             }
             counter_add("opcache_hits", 2);
@@ -188,7 +179,7 @@ mod tests {
         let _ = drain();
         let dir = std::env::temp_dir().join(format!("autoac_obs_test_{}", std::process::id()));
         let rep = with_obs(true, || {
-            let _s = span!("search");
+            let _s = span("search");
             drop(_s);
             series("pool_hit_rate", 0, 1.0);
             finish_to(&dir, "unit").expect("enabled → Some")

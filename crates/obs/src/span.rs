@@ -276,11 +276,6 @@ impl SpanPath {
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
-
-    /// The captured names, root-first.
-    pub fn segments(&self) -> &[&'static str] {
-        &self.0
-    }
 }
 
 /// Captures the calling thread's current span position so a worker thread
@@ -377,7 +372,7 @@ mod tests {
                 {
                     let _b = span("inner");
                     let p = current_path();
-                    assert_eq!(p.segments(), &["outer", "inner"]);
+                    assert_eq!(p.0, ["outer", "inner"]);
                 }
                 let _c = span("inner"); // same position → same node
             }

@@ -177,11 +177,6 @@ impl Tensor {
         Self::new(value, false)
     }
 
-    /// Scalar constant as a `(1, 1)` tensor.
-    pub fn scalar(v: f32) -> Self {
-        Self::constant(Matrix::full(1, 1, v))
-    }
-
     /// Internal constructor for op results. The node is recorded only when
     /// some parent [takes a gradient](Tensor::takes_grad); only then is
     /// `backward` called (with the op's output value) to build the closure,
@@ -373,12 +368,6 @@ impl Tensor {
         }
     }
 
-    /// Detaches from the graph: returns a constant leaf sharing no history
-    /// with `self` (value is copied).
-    pub fn detach(&self) -> Tensor {
-        Tensor::constant(self.to_matrix())
-    }
-
     /// Runs reverse-mode differentiation from this scalar.
     ///
     /// Gradients accumulate into every reachable tensor with
@@ -411,8 +400,8 @@ impl Tensor {
             // the pool as soon as the closure finishes.
             if let Some(g) = t.node.grad.borrow_mut().take() {
                 // Re-install the recorded op name (plus the backward-phase
-                // marker) so pool/race reports name the op whose closure
-                // allocated or raced.
+                // marker) so pool reports name the op whose closure
+                // allocated.
                 let _phase = crate::chk::backward_scope();
                 let _op = crate::chk::op_scope(t.node.op);
                 f(&g);

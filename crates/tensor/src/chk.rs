@@ -2,8 +2,8 @@
 //!
 //! This module is the tensor-side half of the `autoac-check` subsystem: it
 //! decides *whether* the expensive runtime checks are armed and records
-//! *which op* is currently executing so the pool sanitizer and the race
-//! checker can name the allocating / releasing / racing op in their reports.
+//! *which op* is currently executing so the pool sanitizer can name the
+//! allocating / releasing op in its reports.
 //!
 //! Control surface, in priority order:
 //!
@@ -50,8 +50,8 @@ thread_local! {
     static IN_BACKWARD: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Whether runtime checks (pool sanitizer, race checker, tape verification
-/// hooks) are armed on this thread right now.
+/// Whether runtime checks (pool sanitizer, tape verification hooks) are
+/// armed on this thread right now.
 pub fn enabled() -> bool {
     OVERRIDE.with(Cell::get).unwrap_or_else(env_enabled)
 }

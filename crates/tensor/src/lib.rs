@@ -6,7 +6,7 @@
 //! The design is intentionally narrow: 2-D `f32` matrices, a define-by-run
 //! autograd graph, the exact op set needed by heterogeneous GNNs
 //! (dense/sparse products, gather/scatter, grouped softmax, the usual
-//! activations and losses), and Adam/SGD optimizers.
+//! activations and losses), and the Adam optimizer.
 //!
 //! ```
 //! use autoac_tensor::{Matrix, Tensor};
@@ -33,5 +33,5 @@ pub mod sparse;
 pub use autograd::{frozen, grad_enabled, no_grad, Tensor};
 pub use matrix::{dot, softmax_in_place, Matrix};
 pub use ops::Act;
-pub use optim::{Adam, AdamConfig, AdamState, Sgd};
+pub use optim::{Adam, AdamConfig, AdamState};
 pub use sparse::{spmm, Csr};

@@ -291,11 +291,6 @@ impl Matrix {
         self.elementwise_binary(other, "mul", |a, b| a * b)
     }
 
-    /// Elementwise division.
-    pub fn div(&self, other: &Matrix) -> Matrix {
-        self.elementwise_binary(other, "div", |a, b| a / b)
-    }
-
     /// Elementwise combine of two same-shape matrices.
     pub fn zip_map(&self, other: &Matrix, f: impl Fn(f32, f32) -> f32 + Sync) -> Matrix {
         self.elementwise_binary(other, "zip_map", f)
@@ -804,10 +799,6 @@ mod tests {
         assert_eq!(b.sub(&a), Matrix::from_rows(&[&[4.0, 4.0], &[4.0, 4.0]]));
         assert_eq!(a.mul(&b), Matrix::from_rows(&[&[5.0, 12.0], &[21.0, 32.0]]));
         assert_eq!(a.scale(2.0), Matrix::from_rows(&[&[2.0, 4.0], &[6.0, 8.0]]));
-        assert_eq!(
-            b.div(&a),
-            Matrix::from_rows(&[&[5.0, 3.0], &[7.0 / 3.0, 2.0]])
-        );
     }
 
     #[test]
@@ -972,16 +963,8 @@ mod tests {
         add_rejects_shape_mismatch: |a, b| a.add(&b);
         sub_rejects_shape_mismatch: |a, b| a.sub(&b);
         mul_rejects_shape_mismatch: |a, b| a.mul(&b);
-        div_rejects_shape_mismatch: |a, b| a.div(&b);
         zip_map_rejects_shape_mismatch: |a, b| a.zip_map(&b, |x, y| x + y);
         add_assign_rejects_shape_mismatch: |a, b| a.add_assign(&b);
         rowwise_dot_rejects_shape_mismatch: |a, b| a.rowwise_dot(&b);
-    }
-
-    #[test]
-    fn div_matches_elementwise_division() {
-        let a = Matrix::from_rows(&[&[6.0, 9.0], &[-4.0, 1.0]]);
-        let b = Matrix::from_rows(&[&[3.0, 3.0], &[2.0, 4.0]]);
-        assert_eq!(a.div(&b), Matrix::from_rows(&[&[2.0, 3.0], &[-2.0, 0.25]]));
     }
 }

@@ -76,11 +76,6 @@ impl Tensor {
         })
     }
 
-    /// Negation.
-    pub fn neg(&self) -> Tensor {
-        self.scale(-1.0)
-    }
-
     /// Adds a scalar offset to every element.
     pub fn add_scalar(&self, s: f32) -> Tensor {
         let _op = crate::chk::op_scope("add_scalar");

@@ -76,50 +76,4 @@ impl Tensor {
             })
         })
     }
-
-    /// Multi-label binary cross-entropy with logits over a row subset of an
-    /// `(N, C)` logit matrix against a `{0,1}` target matrix of the same
-    /// shape. Returns the mean over `rows × C` entries.
-    pub fn multilabel_bce_rows(&self, targets: &Matrix, rows: &[u32]) -> Tensor {
-        let _op = crate::chk::op_scope("multilabel_bce_rows");
-        let (n, c) = self.shape();
-        assert_eq!(targets.shape(), (n, c), "multilabel_bce_rows: target shape mismatch");
-        assert!(!rows.is_empty(), "multilabel_bce_rows: empty row subset");
-        let inv = 1.0 / (rows.len() * c) as f32;
-        let mut loss = 0.0;
-        let z = self.value();
-        for &r in rows {
-            let r = r as usize;
-            for (zi, &y) in z.row(r).iter().zip(targets.row(r)) {
-                loss += zi.max(0.0) - zi * y + (1.0 + (-zi.abs()).exp()).ln();
-            }
-        }
-        drop(z);
-        Tensor::from_op(Matrix::full(1, 1, loss * inv), &[self], |_| {
-            let (a, z) = (self.clone(), self.to_matrix());
-            let targets = targets.clone();
-            let rows: Rc<[u32]> = rows.into();
-            Box::new(move |g| {
-                let scale = g.data()[0] * inv;
-                let mut dx = Matrix::zeros(n, c);
-                for &r in rows.iter() {
-                    let r = r as usize;
-                    for ((d, zi), &y) in
-                        dx.row_mut(r).iter_mut().zip(z.row(r)).zip(targets.row(r))
-                    {
-                        let sig = 1.0 / (1.0 + (-zi).exp());
-                        *d = scale * (sig - y);
-                    }
-                }
-                a.accum_grad_owned(dx);
-            })
-        })
-    }
-
-    /// Mean squared error against a constant target of the same shape.
-    pub fn mse(&self, target: &Matrix) -> Tensor {
-        assert_eq!(self.shape(), target.shape(), "mse: shape mismatch");
-        let diff = self.sub(&Tensor::constant(target.clone()));
-        diff.square().mean()
-    }
 }

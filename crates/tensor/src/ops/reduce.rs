@@ -59,12 +59,6 @@ impl Tensor {
         })
     }
 
-    /// Row means, as a `(rows, 1)` tensor.
-    pub fn mean_rows(&self) -> Tensor {
-        let (_, cols) = self.shape();
-        self.sum_rows().scale(1.0 / cols.max(1) as f32)
-    }
-
     /// Squared Frobenius norm, as a `(1,1)` tensor.
     pub fn frob_sq(&self) -> Tensor {
         self.square().sum()
@@ -73,11 +67,5 @@ impl Tensor {
     /// Frobenius norm, as a `(1,1)` tensor.
     pub fn frob(&self) -> Tensor {
         self.frob_sq().sqrt()
-    }
-
-    /// Scalar trace of `selfᵀ · other` (the Frobenius inner product),
-    /// computed without materializing the product matrix.
-    pub fn frob_inner(&self, other: &Tensor) -> Tensor {
-        self.mul(other).sum()
     }
 }

@@ -8,7 +8,7 @@
 use crate::autograd::Tensor;
 use crate::matrix::Matrix;
 
-/// Hyperparameters shared by the optimizers.
+/// Adam hyperparameters.
 #[derive(Debug, Clone, Copy)]
 pub struct AdamConfig {
     /// Learning rate.
@@ -166,44 +166,6 @@ impl Adam {
     }
 }
 
-/// Plain SGD (used by the skip-gram pre-learning stage of the HGNN-AC
-/// baseline, where Adam state would dominate memory).
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-    /// L2 weight decay added to the gradient.
-    pub weight_decay: f32,
-    params: Vec<Tensor>,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer over the given parameter leaves.
-    pub fn new(params: Vec<Tensor>, lr: f32, weight_decay: f32) -> Self {
-        Self { lr, weight_decay, params }
-    }
-
-    /// Clears the gradients of every managed parameter.
-    pub fn zero_grad(&self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    /// Applies one SGD step.
-    pub fn step(&self) {
-        for p in &self.params {
-            let Some(grad) = p.grad_ref() else { continue };
-            let lr = self.lr;
-            let wd = self.weight_decay;
-            p.update_value(|value| {
-                for (x, g) in value.data_mut().iter_mut().zip(grad.data()) {
-                    *x -= lr * (g + wd * *x);
-                }
-            });
-        }
-    }
-}
-
 impl Tensor {
     /// Public gradient accumulation (custom search steps write gradients
     /// directly): moves the buffer into an empty gradient slot instead of
@@ -229,19 +191,6 @@ mod tests {
             opt.step();
         }
         assert!((x.item() - 3.0).abs() < 1e-2, "x = {}", x.item());
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = Tensor::param(Matrix::from_vec(1, 1, vec![10.0]));
-        let opt = Sgd::new(vec![x.clone()], 0.1, 0.0);
-        for _ in 0..200 {
-            opt.zero_grad();
-            let loss = x.add_scalar(-3.0).square().sum();
-            loss.backward();
-            opt.step();
-        }
-        assert!((x.item() - 3.0).abs() < 1e-3, "x = {}", x.item());
     }
 
     #[test]

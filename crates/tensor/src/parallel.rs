@@ -150,16 +150,6 @@ where
         return;
     }
     let ranges = partition_rows(rows, threads);
-    // Under AUTOAC_CHECK, declare each worker's planned write range to the
-    // race checker before spawning; the split_at_mut partition is disjoint
-    // by construction, so a clean run reports nothing.
-    if let Some(region) = race::Region::new("for_each_row_chunk") {
-        let buf = data.as_ptr() as usize;
-        for (worker, range) in ranges.iter().enumerate() {
-            region.record(worker, buf, range.clone(), race::AccessKind::Write);
-        }
-        region.finish();
-    }
     // Workers are scoped threads with no access to the launcher's
     // thread-locals, so capture the launcher's span position here and have
     // each worker adopt it: spans the worker opens then nest under the
@@ -180,184 +170,6 @@ where
             });
         }
     });
-}
-
-pub mod race {
-    //! Lockset-style checker for scoped parallel regions.
-    //!
-    //! A kernel that splits work across scoped worker threads declares, per
-    //! [`Region`], which logical row ranges of which buffer each worker will
-    //! read or write. [`Region::finish`] then flags every pair of accesses
-    //! from *different* workers that overlap on the same buffer with at
-    //! least one write — the classic lockset condition for a data race on
-    //! row-partitioned kernels.
-    //!
-    //! The checker validates the *declared plan*, not the machine-level
-    //! interleaving: `for_each_row_chunk` records the exact ranges it hands
-    //! to `split_at_mut`, so a kernel whose partition overlaps is caught
-    //! before the racy writes happen. When `AUTOAC_CHECK` is off,
-    //! [`Region::new`] returns `None` and the kernel pays nothing beyond
-    //! that one thread-local read.
-
-    use std::cell::RefCell;
-    use std::ops::Range;
-    use std::sync::Mutex;
-
-    use crate::chk;
-
-    /// Whether a declared access reads or writes the range.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum AccessKind {
-        /// Shared read access — overlaps freely with other reads.
-        Read,
-        /// Exclusive write access — must not overlap any other worker.
-        Write,
-    }
-
-    /// One worker's declared access to a row range of one buffer.
-    #[derive(Debug, Clone)]
-    pub struct Access {
-        /// Worker index within the region (chunk index for row-chunked
-        /// kernels).
-        pub worker: usize,
-        /// Buffer identity (base address) — distinguishes the output buffer
-        /// from inputs.
-        pub buf: usize,
-        /// Logical row range the worker touches.
-        pub rows: Range<usize>,
-        /// Read or write.
-        pub kind: AccessKind,
-    }
-
-    /// A flagged overlap: two workers, same buffer, intersecting row ranges,
-    /// at least one writing.
-    #[derive(Debug, Clone)]
-    pub struct RaceViolation {
-        /// Region label (kernel entry point).
-        pub region: &'static str,
-        /// Op context active when the region ran, e.g. `matmul [backward]`.
-        pub op: String,
-        /// First conflicting access.
-        pub first: Access,
-        /// Second conflicting access.
-        pub second: Access,
-    }
-
-    impl std::fmt::Display for RaceViolation {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(
-                f,
-                "race checker: overlapping access in region `{}` (op `{}`): \
-                 worker {} {:?} rows {:?} vs worker {} {:?} rows {:?} of the same buffer",
-                self.region,
-                self.op,
-                self.first.worker,
-                self.first.kind,
-                self.first.rows,
-                self.second.worker,
-                self.second.kind,
-                self.second.rows,
-            )
-        }
-    }
-
-    thread_local! {
-        /// `Some` while a [`capture_race_violations`] scope is active.
-        static CAPTURE: RefCell<Option<Vec<RaceViolation>>> = const { RefCell::new(None) };
-    }
-
-    fn report(v: RaceViolation) {
-        let fatal = CAPTURE.with(|c| match c.borrow_mut().as_mut() {
-            Some(out) => {
-                out.push(v.clone());
-                false
-            }
-            None => true,
-        });
-        if fatal {
-            // analyze:allow(panic, a detected data race outside a capture scope must abort; continuing would serve corrupted results)
-            panic!("autoac-check: {v}");
-        }
-    }
-
-    /// Runs `f` with race violations captured instead of fatal, returning
-    /// them alongside `f`'s result. The capture scope lives on the launching
-    /// thread — [`Region::finish`] must run there (it does for all kernels).
-    pub fn capture_race_violations<T>(f: impl FnOnce() -> T) -> (T, Vec<RaceViolation>) {
-        let prev = CAPTURE.with(|c| c.borrow_mut().replace(Vec::new()));
-        struct Restore(Option<Vec<RaceViolation>>);
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                CAPTURE.with(|c| *c.borrow_mut() = self.0.take());
-            }
-        }
-        let mut restore = Restore(prev);
-        let out = f();
-        let captured = CAPTURE
-            .with(|c| std::mem::replace(&mut *c.borrow_mut(), restore.0.take()))
-            .unwrap_or_default();
-        std::mem::forget(restore);
-        (out, captured)
-    }
-
-    /// Access log for one scoped parallel region.
-    pub struct Region {
-        label: &'static str,
-        op: String,
-        accesses: Mutex<Vec<Access>>,
-    }
-
-    impl Region {
-        /// Opens a region when checking is armed; `None` (zero overhead)
-        /// otherwise. Capture the op context here — workers run without it.
-        pub fn new(label: &'static str) -> Option<Region> {
-            chk::enabled().then(|| Region {
-                label,
-                op: chk::op_context(),
-                accesses: Mutex::new(Vec::new()),
-            })
-        }
-
-        /// Declares that `worker` will access `rows` of the buffer at base
-        /// address `buf`. Callable from worker threads (mutex-guarded).
-        pub fn record(&self, worker: usize, buf: usize, rows: Range<usize>, kind: AccessKind) {
-            if rows.is_empty() {
-                return;
-            }
-            self.accesses
-                .lock()
-                .expect("race checker mutex poisoned")
-                .push(Access { worker, buf, rows, kind });
-        }
-
-        /// Closes the region and flags every cross-worker overlap with at
-        /// least one write. Runs on the launching thread.
-        pub fn finish(self) {
-            let accesses = self
-                .accesses
-                .into_inner()
-                // analyze:allow(panic, a poisoned checker mutex means a worker already panicked; aborting is the sanitizer contract)
-                .expect("race checker mutex poisoned");
-            for (i, a) in accesses.iter().enumerate() {
-                // analyze:allow(panic, i enumerates accesses so i + 1 is at most its length)
-                for b in &accesses[i + 1..] {
-                    let conflict = a.worker != b.worker
-                        && a.buf == b.buf
-                        && a.rows.start < b.rows.end
-                        && b.rows.start < a.rows.end
-                        && (a.kind == AccessKind::Write || b.kind == AccessKind::Write);
-                    if conflict {
-                        report(RaceViolation {
-                            region: self.label,
-                            op: self.op.clone(),
-                            first: a.clone(),
-                            second: b.clone(),
-                        });
-                    }
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -433,43 +245,6 @@ mod tests {
             let err = parse_threads_env(bad).expect_err(&format!("{bad:?} must be rejected"));
             assert!(err.contains("AUTOAC_NUM_THREADS"), "error must name the variable: {err}");
         }
-    }
-
-    #[test]
-    fn disjoint_chunks_pass_race_checker() {
-        crate::chk::with_check(true, || {
-            let ((), violations) = race::capture_race_violations(|| {
-                for threads in [2usize, 4] {
-                    with_threads(threads, || {
-                        let mut data = vec![0.0f32; 64 * 3];
-                        for_each_row_chunk(&mut data, 3, usize::MAX, |_, chunk| {
-                            chunk.fill(1.0);
-                        });
-                    });
-                }
-            });
-            assert!(violations.is_empty(), "disjoint partition flagged: {violations:?}");
-        });
-    }
-
-    #[test]
-    fn overlapping_plan_is_flagged() {
-        crate::chk::with_check(true, || {
-            let ((), violations) = race::capture_race_violations(|| {
-                let _op = crate::chk::op_scope("racy_fixture");
-                if let Some(region) = race::Region::new("overlap_test") {
-                    region.record(0, 0x1000, 0..6, race::AccessKind::Write);
-                    region.record(1, 0x1000, 5..10, race::AccessKind::Write);
-                    // Reads may overlap each other and non-conflicting rows.
-                    region.record(2, 0x1000, 0..10, race::AccessKind::Read);
-                    region.finish();
-                }
-            });
-            // worker0/worker1 write-write on row 5, plus the read overlapping
-            // both writers.
-            assert_eq!(violations.len(), 3, "{violations:?}");
-            assert!(violations.iter().all(|v| v.op == "racy_fixture"));
-        });
     }
 
     #[test]

@@ -26,14 +26,6 @@ fn no_grad_nests_and_restores() {
 }
 
 #[test]
-fn detach_blocks_gradient_flow() {
-    let p = Tensor::param(Matrix::from_vec(1, 1, vec![2.0]));
-    let y = p.detach().square().sum();
-    y.backward();
-    assert!(p.grad().is_none(), "detached tensors must not propagate");
-}
-
-#[test]
 fn backward_with_explicit_seed() {
     let p = Tensor::param(Matrix::ones(2, 2));
     let y = p.scale(3.0);
@@ -126,27 +118,10 @@ fn graph_reuse_across_multiple_backwards() {
 }
 
 #[test]
-fn scalar_helpers() {
-    let s = Tensor::scalar(4.25);
-    assert_eq!(s.item(), 4.25);
-    assert_eq!(s.shape(), (1, 1));
-    assert!(!s.requires_grad());
-}
-
-#[test]
 fn set_value_shape_guard() {
     let p = Tensor::param(Matrix::zeros(2, 3));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         p.set_value(Matrix::zeros(3, 2));
     }));
     assert!(result.is_err(), "shape mismatch must panic");
-}
-
-#[test]
-fn mean_rows_and_frob_inner() {
-    let x = Tensor::param(Matrix::from_rows(&[&[1.0, 3.0], &[5.0, 7.0]]));
-    let m = x.mean_rows().to_matrix();
-    assert_eq!(m.data(), &[2.0, 6.0]);
-    let y = Tensor::constant(Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0]]));
-    assert_eq!(x.frob_inner(&y).item(), 8.0); // 1 + 7
 }

@@ -8,18 +8,18 @@
 # identically. Several gates are tests in those suites, not passes here:
 # pool-on equals pool-off (run_loop_digests.rs under the two runs, and
 # pool_properties.rs), blocked kernels equal their references
-# (kernel_parity.rs), the full-batch minibatch config equals the
-# whole-graph pipeline (crates/core/src/minibatch.rs), and a batched and
-# an unbatched autoac_serve daemon serve one pinned digest
+# (kernel_parity.rs), the minibatch pipeline trained on the whole graph
+# equals the whole-graph pipeline (crates/core/src/minibatch.rs), and a
+# batched and an unbatched autoac_serve daemon serve one pinned digest
 # (crates/serve/tests/daemon.rs). Then:
 #
 #  - a literal kill-and-resume smoke test of the checkpoint subsystem: a
 #    run SIGKILLed mid-search, resumed from its snapshots, must produce a
 #    byte-identical result digest to an uninterrupted run;
 #  - the checking pass: autoac-lint must exit clean over the repo, the full
-#    suite must pass with AUTOAC_CHECK=1 armed (zero sanitizer findings on
-#    clean code), and check_smoke must prove every analysis catches its
-#    seeded bug class;
+#    suite must pass with AUTOAC_CHECK=1 armed (the tape verifier and the
+#    pool sanitizer find nothing on clean code), and check_smoke must prove
+#    every analysis catches its seeded bug class;
 #  - the observability pass (obs_smoke): the same short search + retrain
 #    with AUTOAC_OBS=0 and AUTOAC_OBS=1 must produce byte-identical result
 #    digests (instrumentation is read-only), the AUTOAC_OBS=0 digest must
@@ -35,17 +35,25 @@
 #    failed operations — so a change to an API or obs record the
 #    benchmark reads fails here, not first in a benchmark run. Cargo
 #    rewrites benchmark/Cargo.lock when it builds the package, so the pass
-#    copies the file first and the EXIT trap restores it, on failure too.
+#    copies the file first and the EXIT trap restores it, on failure too;
+#  - the working-tree check: `git status --porcelain` after the benchmark
+#    pass restored the lock file must equal the one taken before the first
+#    build, so a run that rewrites or leaves a tracked or unignored file
+#    fails and prints the difference. It compares status only: a file
+#    already modified before the run keeps its status however the run
+#    changes it.
 #
 # The test suites run under AUTOAC_SLOW_TESTS=1: the default (fast) test
 # profile shrinks end-to-end budgets for interactive iteration; verify is
 # where the full original budgets are exercised.
 #
-# Usage: scripts/verify.sh
+# Usage: scripts/verify.sh (from a git checkout: the working-tree check
+# reads git status)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MAX_THREADS="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 4)"
+TREE_BEFORE="$(git status --porcelain)"
 
 echo "== cargo build --release --workspace =="
 # --workspace: the root manifest is a package, so a bare build would cover
@@ -147,4 +155,14 @@ grep -q '"correct":true' <<< "$BENCHMARK_LAST" && grep -Eq '"failed":0[,}]' <<< 
        echo "$BENCHMARK_LAST"; exit 1; }
 echo "   benchmark --smoke: correct, 0 failed"
 
-echo "verify.sh: all suites passed with pool off+serial and pool on+parallel; kill-and-resume, obs smoke and the benchmark smoke OK"
+echo "== working-tree check (git status --porcelain unchanged) =="
+cp "$WORK/benchmark.Cargo.lock" benchmark/Cargo.lock
+TREE_AFTER="$(git status --porcelain)"
+if [ "$TREE_BEFORE" != "$TREE_AFTER" ]; then
+  echo "verify.sh: FAIL — the run changed the working tree (git status --porcelain, before vs after):"
+  diff <(printf '%s\n' "$TREE_BEFORE") <(printf '%s\n' "$TREE_AFTER") || true
+  exit 1
+fi
+echo "   git status --porcelain is unchanged"
+
+echo "verify.sh: all suites passed with pool off+serial and pool on+parallel; kill-and-resume, obs smoke, the benchmark smoke and the working-tree check OK"
