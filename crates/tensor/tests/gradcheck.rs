@@ -206,7 +206,6 @@ fn grad_sum_rows_cols_mean() {
 fn grad_frobenius() {
     let init = test_input(3, 3, 37).map(|v| v + 2.0); // keep norm away from 0
     gradcheck(init, |p| p.frob());
-    gradcheck(test_input(3, 4, 79), |p| p.frob_sq());
 }
 
 #[test]
@@ -342,4 +341,12 @@ fn grad_linear_fused_weight_and_bias() {
     // Gradient w.r.t. the bias row.
     let w = Tensor::constant(test_input(3, 2, 76));
     gradcheck(test_input(1, 2, 77), |b| x.linear(&w, Some(b), Act::Tanh).square().sum());
+}
+
+#[test]
+fn grad_frob_sq_and_frob_inner() {
+    gradcheck(test_input(3, 4, 79), |p| p.frob_sq());
+    // The Frobenius inner product ⟨P, B⟩ = Σ P ⊙ B.
+    let other = Tensor::constant(test_input(3, 4, 80));
+    gradcheck(test_input(3, 4, 81), |p| p.mul(&other).sum());
 }
